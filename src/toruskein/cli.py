@@ -129,6 +129,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "budget", 0) < 0:
+            raise _UsageError(f"--budget must be at least 0, got {args.budget}")
         command = args.command
 
         if command == "mul":
@@ -140,12 +142,12 @@ def run(argv: Sequence[str] | None = None) -> int:
             x = UnorientedClass.parse(args.x)
             y = UnorientedClass.parse(args.y)
             if args.dump_states:
+                if args.workers > 1:
+                    print("note: --dump-states enumerates in one process", file=sys.stderr)
                 with open(args.dump_states, "w") as dump:
                     product = unoriented_product(x, y, budget=args.budget, dump=dump)
             else:
-                product = unoriented_product(
-                    x, y, budget=args.budget, workers=max(1, args.workers)
-                )
+                product = unoriented_product(x, y, budget=args.budget, workers=args.workers)
             _emit(product, args.json)
         elif command == "gamma-mul":
             u, v = parse_vec(args.u), parse_vec(args.v)
@@ -177,7 +179,7 @@ def run(argv: Sequence[str] | None = None) -> int:
                 max_det=args.max_det,
                 max_mult=args.max_mult,
                 budget=args.budget,
-                workers=max(1, args.workers),
+                workers=args.workers,
             )
             if args.json:
                 print(

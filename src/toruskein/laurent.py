@@ -249,6 +249,8 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data: Mapping[str, int]) -> "LaurentPoly":
+        if not isinstance(data, Mapping):
+            raise ValueError(f"expected an object of exponent: coefficient, got {data!r}")
         return cls({int(e): int(c) for e, c in data.items()})
 
 

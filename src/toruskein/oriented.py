@@ -20,8 +20,8 @@ from math import comb
 from typing import Iterable, Mapping
 
 from .laurent import LaurentPoly
-from .skein import Basis, BasisMismatchError, SkeinElement, format_terms
-from .torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize, det2
+from .skein import Basis, BasisMismatchError, SkeinElement, TermMap, format_terms
+from .torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize, det2, vec_from_json
 
 
 class AsymmetricElementError(ValueError):
@@ -41,25 +41,22 @@ def _key_sort(key: Vec2) -> tuple[int, int, int]:
 
 
 @dataclass(frozen=True, slots=True)
-class OrientedElement:
+class OrientedElement(TermMap):
     """A finite R-linear combination of oriented monomials gamma_v."""
 
     _terms: tuple[tuple[Vec2, LaurentPoly], ...] = field(default=())
+
+    _key_order = staticmethod(_key_sort)
+    _normalize_key = staticmethod(lambda key: (int(key[0]), int(key[1])))
+    _JSON_KEY = "gamma"
+    _key_to_json = staticmethod(lambda key: [key[0], key[1]])
+    _key_from_json = staticmethod(vec_from_json)
 
     @classmethod
     def make(
         cls, terms: Mapping[Vec2, LaurentPoly] | Iterable[tuple[Vec2, LaurentPoly]]
     ) -> "OrientedElement":
-        acc: dict[Vec2, LaurentPoly] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for key, coeff in items:
-            key = (int(key[0]), int(key[1]))
-            c = acc.get(key, LaurentPoly.zero()) + coeff
-            if c.is_zero:
-                acc.pop(key, None)
-            else:
-                acc[key] = c
-        return cls(tuple(sorted(acc.items(), key=lambda kv: _key_sort(kv[0]))))
+        return cls(cls._collect(terms))
 
     @classmethod
     def zero(cls) -> "OrientedElement":
@@ -73,31 +70,7 @@ class OrientedElement:
     def gamma(cls, key: Vec2) -> "OrientedElement":
         return cls.make({key: LaurentPoly.one()})
 
-    # ----- term access -----
-
-    def terms(self) -> tuple[tuple[Vec2, LaurentPoly], ...]:
-        return self._terms
-
-    def coefficient(self, key: Vec2) -> LaurentPoly:
-        for k, c in self._terms:
-            if k == key:
-                return c
-        return LaurentPoly.zero()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     # ----- algebra structure -----
-
-    def __add__(self, other: "OrientedElement") -> "OrientedElement":
-        return OrientedElement.make(list(self._terms) + list(other._terms))
-
-    def __sub__(self, other: "OrientedElement") -> "OrientedElement":
-        return self + other.scaled(-1)
-
-    def scaled(self, factor: LaurentPoly | int) -> "OrientedElement":
-        return OrientedElement.make([(k, c * factor) for k, c in self._terms])
 
     def __mul__(self, other: "OrientedElement") -> "OrientedElement":
         out: list[tuple[Vec2, LaurentPoly]] = []
@@ -119,17 +92,9 @@ class OrientedElement:
     def __str__(self) -> str:
         return format_terms(self._terms, key_str=lambda k: f"g({k[0]},{k[1]})")
 
-    def to_json(self) -> dict:
-        return {"terms": [{"gamma": [k[0], k[1]], "coeff": c.to_json()} for k, c in self._terms]}
-
     @classmethod
     def from_json(cls, data: Mapping) -> "OrientedElement":
-        return cls.make(
-            [
-                ((int(t["gamma"][0]), int(t["gamma"][1])), LaurentPoly.from_json(t["coeff"]))
-                for t in data["terms"]
-            ]
-        )
+        return cls.make(cls._json_terms(data))
 
 
 def gamma_mul(u: Vec2, v: Vec2) -> OrientedElement:

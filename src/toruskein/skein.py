@@ -19,12 +19,12 @@ computed by converting to the Chebyshev basis and back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping
 
 from . import chebyshev
-from .laurent import LaurentPoly
+from .laurent import ZERO, LaurentPoly
 from .torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize, det2
 
 
@@ -37,12 +37,127 @@ class BasisMismatchError(ValueError):
     pass
 
 
+class TermMap:
+    """Shared core of SkeinElement and OrientedElement: a finite linear
+    combination of keys with coefficients in Z[A, A^-1].
+
+    Subclasses are frozen dataclasses whose ``_terms`` field holds (key,
+    nonzero LaurentPoly) pairs sorted by ``_key_order``; they also name the
+    key's JSON field and forms.
+    """
+
+    __slots__ = ()
+
+    _normalize_key = None
+
+    @classmethod
+    def _collect(cls, terms) -> tuple:
+        """Merge equal keys, drop zero coefficients and sort by key order."""
+        acc: dict = {}
+        normalize = cls._normalize_key
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        for key, coeff in items:
+            if normalize is not None:
+                key = normalize(key)
+            c = acc.get(key, ZERO) + coeff
+            if c.is_zero:
+                acc.pop(key, None)
+            else:
+                acc[key] = c
+        order = cls._key_order
+        return tuple(sorted(acc.items(), key=lambda kv: order(kv[0])))
+
+    def _like(self, terms):
+        """An element of the same kind (and basis) with the given raw terms."""
+        return replace(self, _terms=self._collect(terms))
+
+    def _check_compatible(self, other) -> None:
+        """Raise if ``other`` cannot be added to this element."""
+
+    # ----- term access -----
+
+    def terms(self) -> tuple:
+        return self._terms
+
+    def coefficient(self, key) -> LaurentPoly:
+        for k, c in self._terms:
+            if k == key:
+                return c
+        return ZERO
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def support(self) -> tuple:
+        return tuple(k for k, _ in self._terms)
+
+    # ----- module structure -----
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_compatible(other)
+        return self._like(self._terms + other._terms)
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+    def scaled(self, factor: LaurentPoly | int):
+        return self._like([(k, c * factor) for k, c in self._terms])
+
+    def map_coefficients(self, fn):
+        return self._like([(k, fn(c)) for k, c in self._terms])
+
+    # ----- JSON form -----
+
+    def to_json(self) -> dict:
+        key_json = self._key_to_json
+        return {"terms": [{self._JSON_KEY: key_json(k), "coeff": c.to_json()} for k, c in self._terms]}
+
+    @classmethod
+    def _json_terms(cls, data: object) -> list:
+        """The (key, coeff) pairs of an element's JSON form, shape-checked."""
+        return [
+            (
+                _json_field(t, cls._JSON_KEY, f"terms[{i}]", cls._key_from_json),
+                _json_field(t, "coeff", f"terms[{i}]", LaurentPoly.from_json),
+            )
+            for i, t in enumerate(_json_field(data, "terms", "", _json_list))
+        ]
+
+
+def _json_list(data: object) -> list:
+    if not isinstance(data, list):
+        raise ValueError(f"expected a list, got {data!r}")
+    return data
+
+
+def _json_field(data: object, name: str, path: str, parse):
+    """``parse(data[name])``; a malformed part raises ValueError naming its
+    path, such as ``terms[0].gamma``."""
+    where = f"{path}.{name}" if path else name
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{path or 'element'}: expected a JSON object, got {data!r}")
+    if name not in data:
+        raise ValueError(f"{where}: missing")
+    try:
+        return parse(data[name])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 @dataclass(frozen=True, slots=True)
-class SkeinElement:
+class SkeinElement(TermMap):
     """A finite R-linear combination of curve classes, tagged with its basis."""
 
     basis: Basis
     _terms: tuple[tuple[UnorientedClass, LaurentPoly], ...] = field(default=())
+
+    _key_order = staticmethod(UnorientedClass.sort_key)
+    _JSON_KEY = "class"
+    _key_to_json = staticmethod(UnorientedClass.to_json)
+    _key_from_json = staticmethod(UnorientedClass.from_json)
 
     @classmethod
     def make(
@@ -50,16 +165,7 @@ class SkeinElement:
         basis: Basis,
         terms: Mapping[UnorientedClass, LaurentPoly] | Iterable[tuple[UnorientedClass, LaurentPoly]],
     ) -> "SkeinElement":
-        acc: dict[UnorientedClass, LaurentPoly] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for key, coeff in items:
-            c = acc.get(key, LaurentPoly.zero()) + coeff
-            if c.is_zero:
-                acc.pop(key, None)
-            else:
-                acc[key] = c
-        ordered = tuple(sorted(acc.items(), key=lambda kv: kv[0].sort_key()))
-        return cls(Basis(basis), ordered)
+        return cls(Basis(basis), cls._collect(terms))
 
     @classmethod
     def zero(cls, basis: Basis) -> "SkeinElement":
@@ -73,42 +179,9 @@ class SkeinElement:
     def generator(cls, key: UnorientedClass, basis: Basis) -> "SkeinElement":
         return cls.make(basis, {key: LaurentPoly.one()})
 
-    # ----- term access -----
-
-    def terms(self) -> tuple[tuple[UnorientedClass, LaurentPoly], ...]:
-        return self._terms
-
-    def coefficient(self, key: UnorientedClass) -> LaurentPoly:
-        for k, c in self._terms:
-            if k == key:
-                return c
-        return LaurentPoly.zero()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def support(self) -> tuple[UnorientedClass, ...]:
-        return tuple(k for k, _ in self._terms)
-
-    # ----- module structure -----
-
-    def _require_same_basis(self, other: "SkeinElement") -> None:
+    def _check_compatible(self, other: "SkeinElement") -> None:
         if self.basis != other.basis:
             raise BasisMismatchError(f"cannot combine {self.basis.value} with {other.basis.value}")
-
-    def __add__(self, other: "SkeinElement") -> "SkeinElement":
-        self._require_same_basis(other)
-        return SkeinElement.make(self.basis, list(self._terms) + list(other._terms))
-
-    def __sub__(self, other: "SkeinElement") -> "SkeinElement":
-        return self + other.scaled(-1)
-
-    def scaled(self, factor: LaurentPoly | int) -> "SkeinElement":
-        return SkeinElement.make(self.basis, [(k, c * factor) for k, c in self._terms])
-
-    def map_coefficients(self, fn) -> "SkeinElement":
-        return SkeinElement.make(self.basis, [(k, fn(c)) for k, c in self._terms])
 
     # ----- basis change -----
 
@@ -116,38 +189,33 @@ class SkeinElement:
         """Rewrite a standard-basis element over the Chebyshev generators."""
         if self.basis != Basis.STANDARD:
             raise BasisMismatchError("to_chebyshev expects a standard-basis element")
-        out: list[tuple[UnorientedClass, LaurentPoly]] = []
-        for key, coeff in self._terms:
-            if key.is_empty:
-                out.append((key, coeff))
-                continue
-            n, prim = key.split()
-            for k, c in chebyshev.power_to_chebyshev(n).items():
-                tkey = EMPTY if k == 0 else UnorientedClass((k * prim[0], k * prim[1]))
-                out.append((tkey, coeff * c))
-        return SkeinElement.make(Basis.CHEBYSHEV, out)
+        return self._expand(Basis.CHEBYSHEV, lambda n: chebyshev.power_to_chebyshev(n).items())
 
     def to_standard(self) -> "SkeinElement":
         """Expand Chebyshev generators into standard multicurve classes."""
         if self.basis != Basis.CHEBYSHEV:
             raise BasisMismatchError("to_standard expects a Chebyshev-basis element")
+        return self._expand(Basis.STANDARD, lambda n: enumerate(chebyshev.chebyshev_t(n)))
+
+    def _expand(self, target: Basis, expansion) -> "SkeinElement":
+        # expansion(n) yields (j, c): the n-fold key is sum c * (j-fold key) in
+        # the target basis, for the same primitive; the empty key is fixed.
         out: list[tuple[UnorientedClass, LaurentPoly]] = []
         for key, coeff in self._terms:
             if key.is_empty:
                 out.append((key, coeff))
                 continue
             n, prim = key.split()
-            for power, c in enumerate(chebyshev.chebyshev_t(n)):
-                if not c:
-                    continue
-                skey = EMPTY if power == 0 else UnorientedClass((power * prim[0], power * prim[1]))
-                out.append((skey, coeff * c))
-        return SkeinElement.make(Basis.STANDARD, out)
+            for j, c in expansion(n):
+                if c:
+                    jkey = EMPTY if j == 0 else UnorientedClass((j * prim[0], j * prim[1]))
+                    out.append((jkey, coeff * c))
+        return SkeinElement.make(target, out)
 
     # ----- multiplication -----
 
     def __mul__(self, other: "SkeinElement") -> "SkeinElement":
-        self._require_same_basis(other)
+        self._check_compatible(other)
         if self.basis == Basis.CHEBYSHEV:
             return _mul_chebyshev(self, other)
         return _mul_chebyshev(self.to_chebyshev(), other.to_chebyshev()).to_standard()
@@ -158,19 +226,11 @@ class SkeinElement:
         return format_terms(self._terms, suffix="_T" if self.basis == Basis.CHEBYSHEV else "")
 
     def to_json(self) -> dict:
-        return {
-            "basis": self.basis.value,
-            "terms": [{"class": k.to_json(), "coeff": c.to_json()} for k, c in self._terms],
-        }
+        return {"basis": self.basis.value, **TermMap.to_json(self)}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "SkeinElement":
-        basis = Basis(data["basis"])
-        terms = [
-            (UnorientedClass.from_json(t["class"]), LaurentPoly.from_json(t["coeff"]))
-            for t in data["terms"]
-        ]
-        return cls.make(basis, terms)
+        return cls.make(_json_field(data, "basis", "", Basis), cls._json_terms(data))
 
 
 def chebyshev_of(vec: Vec2) -> SkeinElement:

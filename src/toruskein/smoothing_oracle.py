@@ -44,6 +44,7 @@ ledger must balance exponent/2 against winding removal by removal.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO, Iterable
@@ -51,7 +52,7 @@ from typing import IO, Iterable
 from .laurent import LaurentPoly
 from .oriented import OrientedElement
 from .skein import Basis, SkeinElement
-from .torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize, det2, split_signed
+from .torus_curves import EMPTY, UnorientedClass, Vec2, det2, is_half_plane, split_signed
 
 DEFAULT_BUDGET = 24
 
@@ -377,35 +378,52 @@ class _Tracer:
         return out
 
 
-def trace(arr: Arrangement, state: SmoothingState) -> list[TracedComponent]:
-    """Resolve one state and report its closed components.
+def _classify(
+    components: Iterable[tuple[int, int, int, int]], oriented: bool = False
+) -> tuple[int, int, Vec2 | None]:
+    """Check one resolved state's components and summarize them.
 
-    Checks the structural invariants: integral homology, winding 0 on
-    essential components, winding +-1 on trivial circles, and a single
-    primitive direction across each state's essential components.
+    ``components`` are the tracer's (hx, hy, winding, arcs) tuples.  Returns
+    (trivial circles, essential count, common primitive direction), the
+    direction taken up to sign unless ``oriented``.  Raises ArrangementError
+    on a broken invariant: a trivial circle whose winding is not +-1 (or any
+    trivial circle when ``oriented``), an essential component with nonzero
+    winding or non-primitive homology, or essential components in two
+    directions.
     """
-    if state.length != arr.crossing_count:
-        raise ValueError("state length does not match the arrangement")
-    comps = []
-    prim_dir: Vec2 | None = None
-    for hx, hy, winding, arcs in _Tracer(arr).components(state.mask):
-        comp = TracedComponent((hx, hy), winding, arcs)
-        if comp.is_trivial_circle:
+    circles = count = 0
+    direction: Vec2 | None = None
+    for hx, hy, winding, _arcs in components:
+        if hx == 0 and hy == 0:
+            if oriented:
+                raise ArrangementError("trivial circle in an oriented smoothing")
             if winding not in (1, -1):
                 raise ArrangementError(f"trivial circle with winding {winding}")
-        else:
-            if winding != 0:
-                raise ArrangementError(f"essential component with winding {winding}")
-            g, prim = split_signed((hx, hy))
-            if g != 1:
-                raise ArrangementError(f"essential component homology {comp.homology} not primitive")
-            canon = canonicalize(prim)[0].vec
-            if prim_dir is None:
-                prim_dir = canon
-            elif prim_dir != canon:
-                raise ArrangementError("mixed primitive directions in one state")
-        comps.append(comp)
-    return comps
+            circles += 1
+            continue
+        if winding != 0:
+            raise ArrangementError(f"essential component with winding {winding}")
+        g, prim = split_signed((hx, hy))
+        if g != 1:
+            raise ArrangementError(f"essential component homology {(hx, hy)} not primitive")
+        if not oriented and not is_half_plane(prim):
+            prim = (-prim[0], -prim[1])
+        if direction is None:
+            direction = prim
+        elif direction != prim:
+            raise ArrangementError("mixed primitive directions in one state")
+        count += 1
+    return circles, count, direction
+
+
+def trace(arr: Arrangement, state: SmoothingState) -> list[TracedComponent]:
+    """Resolve one state and report its closed components, checked by
+    ``_classify`` (the tracer itself checks that homology is integral)."""
+    if state.length != arr.crossing_count:
+        raise ValueError("state length does not match the arrangement")
+    comps = _Tracer(arr).components(state.mask)
+    _classify(comps)
+    return [TracedComponent((hx, hy), winding, arcs) for hx, hy, winding, arcs in comps]
 
 
 # ----------------------------------------------------------------------
@@ -430,60 +448,21 @@ def _state_sum(
     acc: dict[Vec2 | None, dict[int, int]] = {}
     for mask in range(start, 1 << k, step):
         exponent = k - 2 * bin(mask).count("1")
-        circles = 0
-        ess_count = 0
-        ess_dir: Vec2 | None = None
-        for hx, hy, winding, _arcs in tracer.components(mask):
-            if hx == 0 and hy == 0:
-                if winding not in (1, -1):
-                    raise ArrangementError(f"trivial circle with winding {winding}")
-                circles += 1
-            else:
-                if winding != 0:
-                    raise ArrangementError(f"essential component with winding {winding}")
-                cls, _ = canonicalize((hx, hy))
-                g, prim = cls.split()
-                if g != 1:
-                    raise ArrangementError("essential component is not primitive")
-                if ess_dir is None:
-                    ess_dir = prim
-                elif ess_dir != prim:
-                    raise ArrangementError("mixed primitive directions in one state")
-                ess_count += 1
+        circles, ess_count, ess_dir = _classify(tracer.components(mask))
         key = None if ess_count == 0 else (ess_count * ess_dir[0], ess_count * ess_dir[1])
         bucket = acc.setdefault(key, {})
-        for exp, coeff in deltas[circles]:
-            e = exp + exponent
-            c = bucket.get(e, 0) + coeff
-            if c:
-                bucket[e] = c
-            else:
-                del bucket[e]
+        for exp, coeff in deltas[circles]:  # zeros are dropped by LaurentPoly
+            bucket[exp + exponent] = bucket.get(exp + exponent, 0) + coeff
         if dump is not None:
             cls_text = "empty" if key is None else f"({key[0]},{key[1]})"
             dump.write(f"{mask:0{k}b} {exponent} {circles} {cls_text}\n")
     return acc
 
 
-def _merge_sums(
-    sums: Iterable[dict[Vec2 | None, dict[int, int]]]
-) -> dict[Vec2 | None, dict[int, int]]:
-    acc: dict[Vec2 | None, dict[int, int]] = {}
-    for part in sums:
-        for key, bucket in part.items():
-            dest = acc.setdefault(key, {})
-            for e, c in bucket.items():
-                s = dest.get(e, 0) + c
-                if s:
-                    dest[e] = s
-                else:
-                    del dest[e]
-    return acc
-
-
-def _partial_state_sum(args: tuple[Arrangement, int, int]) -> dict[Vec2 | None, dict[int, int]]:
-    arr, start, step = args
-    return _state_sum(arr, start, step)
+def _worker_count(requested: int, states: int) -> int:
+    """Processes worth starting for ``states`` residues: at least 1, at most
+    the CPU count and the number of states."""
+    return max(1, min(requested, os.cpu_count() or 1, states))
 
 
 def unoriented_product(
@@ -495,7 +474,8 @@ def unoriented_product(
 ) -> SkeinElement:
     """Superpose x over y, enumerate all 2^k smoothing states, and reduce.
 
-    The result is a standard-basis skein element.  Parallel classes (det 0)
+    The result is a standard-basis skein element.  ``workers`` is clamped by
+    ``_worker_count``; a ``dump`` of the states is written from one process.  Parallel classes (det 0)
     take the crossing-free route: their primitives necessarily agree on the
     torus, and the product is the merged multicurve with added multiplicity.
     """
@@ -512,24 +492,20 @@ def unoriented_product(
         return SkeinElement.generator(UnorientedClass(merged), Basis.STANDARD)
 
     arr = build_arrangement(x.vec, y.vec, budget=budget)
+    workers = _worker_count(workers, 1 << arr.crossing_count)
     if workers > 1 and dump is None:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(
-                _partial_state_sum, [(arr, r, workers) for r in range(workers)]
-            )
-        acc = _merge_sums(parts)
+            parts = pool.starmap(_state_sum, [(arr, r, workers) for r in range(workers)])
     else:
-        acc = _state_sum(arr, 0, 1, dump=dump)
-
-    terms = []
-    for key, bucket in acc.items():
-        coeff = LaurentPoly(bucket)
-        if coeff.is_zero:
-            continue
-        cls = EMPTY if key is None else UnorientedClass(key)
-        terms.append((cls, coeff))
+        parts = [_state_sum(arr, 0, 1, dump=dump)]
+    # make() adds up the residues' partial sums key by key.
+    terms = [
+        (EMPTY if key is None else UnorientedClass(key), LaurentPoly(bucket))
+        for part in parts
+        for key, bucket in part.items()
+    ]
     return SkeinElement.make(Basis.STANDARD, terms)
 
 
@@ -601,22 +577,9 @@ def oriented_product_with_ledger(
     # The orientation-compatible pairing is the A-smoothing exactly when
     # d0 < 0, so each crossing contributes A^(-sign(d0)).
     oriented_mask = 0 if arr.d0 < 0 else (1 << k) - 1
-    tracer = _Tracer(arr)
-    total = (0, 0)
-    direction: Vec2 | None = None
-    for hx, hy, winding, _arcs in tracer.components(oriented_mask, forward=True):
-        if hx == 0 and hy == 0:
-            raise ArrangementError("oriented smoothing produced a trivial circle")
-        if winding != 0:
-            raise ArrangementError("oriented component with nonzero turning")
-        g, prim = split_signed((hx, hy))
-        if g != 1:
-            raise ArrangementError("oriented component is not primitive")
-        if direction is None:
-            direction = prim
-        elif direction != prim:
-            raise ArrangementError("oriented components disagree on direction")
-        total = (total[0] + hx, total[1] + hy)
+    components = _Tracer(arr).components(oriented_mask, forward=True)
+    _circles, count, direction = _classify(components, oriented=True)
+    total = (count * direction[0], count * direction[1])
     if total != (u[0] + v[0], u[1] + v[1]):
         raise ArrangementError(
             f"oriented homology {total} does not match {u} + {v}"

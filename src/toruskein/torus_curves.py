@@ -90,11 +90,7 @@ class UnorientedClass:
 
     @classmethod
     def from_json(cls, data: object) -> "UnorientedClass":
-        if data == "empty" or data is None:
-            return EMPTY
-        if isinstance(data, (list, tuple)) and len(data) == 2:
-            return canonicalize((int(data[0]), int(data[1])))[0]
-        raise ValueError(f"bad curve class JSON: {data!r}")
+        return EMPTY if data == "empty" or data is None else canonicalize(vec_from_json(data))[0]
 
 
 EMPTY = UnorientedClass(None)
@@ -115,6 +111,13 @@ def canonicalize(v: Vec2) -> tuple[UnorientedClass, bool]:
 def curve_class(v: Vec2) -> UnorientedClass:
     """Canonical class of a vector, discarding the orientation flag."""
     return canonicalize(v)[0]
+
+
+def vec_from_json(data: object) -> Vec2:
+    """Parse the JSON form [a, b]."""
+    if not (isinstance(data, (list, tuple)) and len(data) == 2):
+        raise ValueError(f"expected [a, b], got {data!r}")
+    return (int(data[0]), int(data[1]))
 
 
 _VEC_RE = re.compile(r"^\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)$")

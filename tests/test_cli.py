@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from toruskein import verify
 from toruskein.cli import run
 from toruskein.oriented import OrientedElement, psi
@@ -69,6 +71,15 @@ class TestOracleMul:
         code, _, _ = invoke(capsys, "oracle-mul", "--dump-states", str(dump), "(1,1)", "(1,-1)")
         assert code == 0
         assert len(dump.read_text().strip().splitlines()) == 4
+
+    def test_dump_states_notes_that_workers_are_not_used(self, capsys, tmp_path):
+        dump = tmp_path / "states.txt"
+        argv = ["oracle-mul", "--dump-states", str(dump), "(1,1)", "(1,-1)"]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (0, "")
+        code_w, out_w, err_w = invoke(capsys, *argv[:1], "--workers", "4", *argv[1:])
+        assert code_w == 0 and out_w == out
+        assert err_w == "note: --dump-states enumerates in one process\n"
 
     def test_workers(self, capsys):
         code, out, _ = invoke(capsys, "oracle-mul", "--workers", "2", "(2,1)", "(1,-1)")
@@ -185,6 +196,32 @@ class TestErrors:
         code, _, err = invoke(capsys, "mul", "(1,0)", "nonsense")
         assert code == 1 and "error:" in err
 
-    def test_bad_json(self, capsys):
-        code, _, err = invoke(capsys, "psi-inv", "{not json")
-        assert code == 1 and "error:" in err
+    @pytest.mark.parametrize(
+        "verb, text, where",
+        [
+            ("psi-inv", "{not json", ""),
+            ("psi-inv", "{}", "terms: missing"),
+            ("psi-inv", '{"terms":[{"gamma":[1]}]}', "terms[0].gamma:"),
+            ("psi", '{"basis":"standard"}', "terms: missing"),
+        ],
+        ids=["not-json", "no-terms", "short-gamma", "standard-no-terms"],
+    )
+    def test_bad_json(self, capsys, verb, text, where):
+        code, out, err = invoke(capsys, verb, text)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and where in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle-mul", "--budget", "-1", "(1,0)", "(0,1)"],
+            ["gamma-mul", "--budget", "-3", "(1,0)", "(0,1)"],
+            ["bracket", "--budget", "-1", "--pd", "O"],
+            ["verify", "--budget", "-1", "--max-coord", "1", "--max-det", "1"],
+        ],
+    )
+    def test_negative_budget_is_rejected(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "error: --budget must be at least 0" in err

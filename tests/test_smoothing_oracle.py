@@ -5,7 +5,9 @@ import pytest
 from toruskein.laurent import LaurentPoly
 from toruskein.oriented import OrientedElement, gamma_mul
 from toruskein.skein import Basis, SkeinElement
+from toruskein import smoothing_oracle
 from toruskein.smoothing_oracle import (
+    ArrangementError,
     BudgetExceededError,
     SmoothingState,
     build_arrangement,
@@ -121,6 +123,55 @@ class TestTrace:
     def test_state_mask_range_checked(self):
         with pytest.raises(ValueError):
             SmoothingState(4, 2)
+
+
+class TestClassify:
+    """Component invariants on synthetic (hx, hy, winding, arcs) tuples."""
+
+    @pytest.mark.parametrize(
+        "components, oriented, message",
+        [
+            ([(0, 0, 0, 4)], False, "trivial circle with winding 0"),
+            ([(0, 0, 2, 4)], False, "trivial circle with winding 2"),
+            ([(1, 0, 1, 2)], False, "essential component with winding 1"),
+            ([(2, 0, 0, 2)], False, "not primitive"),
+            ([(1, 0, 0, 2), (0, 1, 0, 2)], False, "mixed primitive directions"),
+            ([(0, 0, 1, 4)], True, "trivial circle in an oriented smoothing"),
+            ([(1, 2, 0, 2), (-1, -2, 0, 2)], True, "mixed primitive directions"),
+        ],
+    )
+    def test_broken_invariant_raises(self, components, oriented, message):
+        with pytest.raises(ArrangementError, match=message):
+            smoothing_oracle._classify(components, oriented=oriented)
+
+    def test_directions_agree_up_to_sign_when_unoriented(self):
+        components = [(1, 2, 0, 2), (-1, -2, 0, 2), (0, 0, 1, 4), (0, 0, -1, 4)]
+        assert smoothing_oracle._classify(components) == (2, 2, (1, 2))
+
+    def test_oriented_direction_keeps_its_sign(self):
+        components = [(-1, -2, 0, 2), (-1, -2, 0, 2)]
+        assert smoothing_oracle._classify(components, oriented=True) == (0, 2, (-1, -2))
+
+
+class TestWorkerCount:
+    """The clamp is a pure computation; no process is started here."""
+
+    @pytest.mark.parametrize(
+        "requested, states, cpus, expected",
+        [
+            (1, 1024, 2, 1),
+            (0, 1024, 2, 1),
+            (-5, 1024, 2, 1),
+            (2, 1024, 2, 2),
+            (10**9, 1024, 2, 2),
+            (10**9, 1024, 64, 64),
+            (10**9, 4, 64, 4),
+            (3, 2, None, 1),
+        ],
+    )
+    def test_clamp(self, monkeypatch, requested, states, cpus, expected):
+        monkeypatch.setattr(smoothing_oracle.os, "cpu_count", lambda: cpus)
+        assert smoothing_oracle._worker_count(requested, states) == expected
 
 
 class TestUnorientedProduct:
