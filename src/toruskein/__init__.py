@@ -2,7 +2,7 @@
 
 Multicurve classes on the torus, Laurent-polynomial coefficients, the
 product-to-sum multiplication in the Chebyshev basis, the oriented skein
-algebra with its symmetrization isomorphism, a brute-force smoothing oracle
+algebra with its symmetrization isomorphism, a definitional smoothing oracle
 that certifies the fast paths, and a planar PD-code bracket evaluator.
 """
 

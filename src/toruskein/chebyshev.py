@@ -15,12 +15,24 @@ from .laurent import LaurentPoly
 
 IntPoly = tuple[int, ...]  # coefficients, index = power of the indeterminate
 
+# Largest degree the conversions (and psi, whose multiplicity-n term is the
+# same binomial expansion) accept.  T_n costs O(n^2) bigint work and stays in
+# the cache, so larger degrees are refused before any work starts.
+MAX_DEGREE = 1024
+
+
+def check_degree(n: int, what: str) -> None:
+    """Refuse a negative degree or one above MAX_DEGREE with ValueError."""
+    if n < 0:
+        raise ValueError(f"{what} must be >= 0")
+    if n > MAX_DEGREE:
+        raise ValueError(f"{what} {n} exceeds the limit of {MAX_DEGREE} on Chebyshev degrees")
+
 
 @lru_cache(maxsize=None)
 def chebyshev_t(n: int) -> IntPoly:
     """Coefficient tuple of the n-th first-kind Chebyshev polynomial."""
-    if n < 0:
-        raise ValueError("Chebyshev index must be >= 0")
+    check_degree(n, "Chebyshev index")
     if n == 0:
         return (2,)
     prev: IntPoly = (2,)
@@ -39,8 +51,7 @@ def power_to_chebyshev(n: int) -> dict[int, int]:
     x^k + x^-k gives c[k] = C(n, (n-k)/2) for k >= 1 with k = n (mod 2), and
     c[0] = C(n, n/2) for even n (the unpaired middle term, counted against 1).
     """
-    if n < 0:
-        raise ValueError("power must be >= 0")
+    check_degree(n, "power")
     out: dict[int, int] = {}
     for k in range(n, 0, -2):
         out[k] = comb(n, (n - k) // 2)

@@ -3,7 +3,7 @@
 One verb per construct so the tool stays scriptable:
 
   mul        fast product of two generators (standard or Chebyshev basis)
-  oracle-mul brute-force smoothing product of two classes
+  oracle-mul smoothing-oracle product of two classes (state sum)
   gamma-mul  oriented monomial product (optionally checked against the oracle)
   cheb       expand a Chebyshev generator into standard multicurves
   convert    change of basis for a generator or a JSON element
@@ -60,9 +60,9 @@ def _build_parser() -> _Parser:
     p.add_argument("x")
     p.add_argument("y")
 
-    p = add("oracle-mul", "brute-force smoothing product of two classes")
+    p = add("oracle-mul", "smoothing-oracle product of two classes (state sum)")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     p.add_argument("--dump-states", metavar="PATH", default=None)
     p.add_argument("x")
     p.add_argument("y")
@@ -95,7 +95,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-det", type=int, default=10)
     p.add_argument("--max-mult", type=int, default=3)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
 
     return parser
 

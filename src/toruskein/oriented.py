@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Mapping
 
+from .chebyshev import check_degree
 from .laurent import LaurentPoly
 from .skein import Basis, BasisMismatchError, SkeinElement, TermMap, format_terms
 from .torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize, det2, vec_from_json
@@ -114,6 +115,8 @@ def psi(x: SkeinElement) -> OrientedElement:
     """
     if x.basis != Basis.STANDARD:
         raise BasisMismatchError("psi expects a standard-basis element")
+    for key in x.support():
+        check_degree(key.multiplicity, "multiplicity")
     out: list[tuple[Vec2, LaurentPoly]] = []
     for key, coeff in x.terms():
         if key.is_empty:

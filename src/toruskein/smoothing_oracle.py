@@ -12,9 +12,14 @@ Work on the flat torus R^2/Z^2.  The first family (drawn above the second) is
 n parallel translates of the geodesic with primitive direction pu, the second
 m translates of direction pv, with det2(pu, pv) = d0 != 0.  Translates are
 offset by exact rational multiples of a transversal vector, so every crossing
-is found by solving the two line equations in exact `Fraction` arithmetic; no
-floating point appears anywhere.  Per copy pair there are |d0| crossings and
-n*m*|d0| = |det2(u, v)| in total.
+is found by solving the two line equations exactly, in integers scaled by one
+common denominator; no floating point appears anywhere.  Per copy pair there
+are |d0| crossings and n*m*|d0| = |det2(u, v)| = k in total.
+
+The unoriented product sums over all 2^k smoothing states without listing
+them: the crossings are resolved one at a time, and partial states that agree
+on their open paths and closed components are merged (frontier contraction).
+Listing every state (``--dump-states``) takes the brute-force enumeration.
 
 Each crossing has four ports: the over-strand enters at ``u_in`` and leaves at
 ``u_out``, the under-strand at ``v_in``/``v_out``.  Arcs between consecutive
@@ -44,9 +49,7 @@ ledger must balance exponent/2 against winding removal by removal.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import IO, Iterable
 
 from .laurent import LaurentPoly
@@ -137,33 +140,41 @@ def _transversal(prim: Vec2) -> Vec2:
 
 
 def _copy_pair_crossings(
-    pu: Vec2, pv: Vec2, ou: tuple[Fraction, Fraction], ov: tuple[Fraction, Fraction]
-) -> list[tuple[Fraction, Fraction]]:
+    pu: Vec2, pv: Vec2, xi_v: Vec2, delta: Vec2, scale: int
+) -> list[tuple[int, int]]:
     """Curve parameters (t, w) of all crossings of one u copy with one v copy.
 
-    Solves t*pu + ou = w*pv + ov (mod Z^2) for t, w in [0, 1).
+    Solves t*pu + ou = w*pv + ov (mod Z^2) for t, w in [0, 1), in integer
+    units of 1/size with size = |d0|*scale; ``delta`` is scale*(ov - ou).
+    With e = t*pu - w*pv = ov - ou + z for a lattice translate z,
+    det2(e, pv) = t*d0 and det2(z, pv) ranges over Z, so t runs over one
+    residue modulo scale: t = (sign(d0)*det2(delta, pv) mod scale) + scale*r
+    for r < |d0|.  For each t the point t*pu - (ov - ou) lies on the line
+    z0 + R*pv with z0 = -i*xi_v, i = det2(t*pu - (ov - ou), pv); its position
+    along pv, c/size, splits into an integer s and w in [0, 1), and
+    z = z0 + s*pv.  Solutions come in the order of their translates z.
     """
     d0 = det2(pu, pv)
-    dx, dy = ov[0] - ou[0], ov[1] - ou[1]
-    # e = t*pu - w*pv with t, w in [0, 1) lies in the parallelogram spanned by
-    # pu and -pv; scan every integer translate z = e - d that can reach it.
-    lo_x = math.floor(min(0, pu[0]) - max(0, pv[0]) - dx)
-    hi_x = math.ceil(max(0, pu[0]) - min(0, pv[0]) - dx)
-    lo_y = math.floor(min(0, pu[1]) - max(0, pv[1]) - dy)
-    hi_y = math.ceil(max(0, pu[1]) - min(0, pv[1]) - dy)
-    sols = []
-    for zx in range(lo_x, hi_x + 1):
-        for zy in range(lo_y, hi_y + 1):
-            ex, ey = dx + zx, dy + zy
-            t = Fraction(ex * pv[1] - ey * pv[0], d0)
-            w = Fraction(pu[1] * ex - pu[0] * ey, d0)
-            if 0 <= t < 1 and 0 <= w < 1:
-                sols.append((t, w))
+    size = abs(d0) * scale
+    base = (det2(delta, pv) if d0 > 0 else -det2(delta, pv)) % scale
+    sols: dict[Vec2, tuple[int, int]] = {}
+    for t in range(base, size, scale):
+        px = t * pu[0] - abs(d0) * delta[0]  # size * (t*pu - (ov - ou))
+        py = t * pu[1] - abs(d0) * delta[1]
+        i = det2((px, py), pv) // size
+        c = det2((px + size * i * xi_v[0], py + size * i * xi_v[1]), xi_v)
+        s, w = divmod(c, size)
+        z = (s * pv[0] - i * xi_v[0], s * pv[1] - i * xi_v[1])
+        if (t * pu[0] - w * pv[0], t * pu[1] - w * pv[1]) == (
+            abs(d0) * delta[0] + size * z[0],
+            abs(d0) * delta[1] + size * z[1],
+        ):
+            sols[z] = (t, w)
     if len(sols) != abs(d0):
         raise ArrangementError(
             f"copy pair produced {len(sols)} crossings, expected {abs(d0)}"
         )
-    return sols
+    return [sols[z] for z in sorted(sols)]
 
 
 _OFFSET_DENOMS = ((101, 103), (107, 109), (113, 127), (131, 137), (139, 149))
@@ -174,7 +185,9 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
 
     Requires det2(u_vec, v_vec) != 0 (parallel families have no crossings and
     are handled by the product operations directly) and a crossing count
-    within the budget.
+    within the budget.  Copy j of the u family is offset by (j+1)/den_u * xi_u
+    and copy l of the v family by (l+1)/den_v * xi_v; every parameter and
+    point is an integer in units of 1/size, size = |d0|*den_u*den_v.
     """
     d_full = det2(u_vec, v_vec)
     if d_full == 0:
@@ -194,16 +207,20 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
     xi_v = _transversal(pv)
 
     for den_u, den_v in _OFFSET_DENOMS:
-        eps_u, eps_v = Fraction(1, den_u), Fraction(1, den_v)
-        crossings: list[tuple[int, int, Fraction, Fraction]] = []
-        points: set[tuple[Fraction, Fraction]] = set()
+        scale = den_u * den_v
+        size = abs(d0) * scale
+        crossings: list[tuple[int, int, int, int]] = []
+        points: set[Vec2] = set()
         degenerate = False
         for j in range(n):
-            ou = ((j + 1) * eps_u * xi_u[0], (j + 1) * eps_u * xi_u[1])
+            ou = (abs(d0) * (j + 1) * den_v * xi_u[0], abs(d0) * (j + 1) * den_v * xi_u[1])
             for l in range(m):
-                ov = ((l + 1) * eps_v * xi_v[0], (l + 1) * eps_v * xi_v[1])
-                for t, w in _copy_pair_crossings(pu, pv, ou, ov):
-                    pt = ((t * pu[0] + ou[0]) % 1, (t * pu[1] + ou[1]) % 1)
+                delta = (
+                    (l + 1) * den_u * xi_v[0] - (j + 1) * den_v * xi_u[0],
+                    (l + 1) * den_u * xi_v[1] - (j + 1) * den_v * xi_u[1],
+                )
+                for t, w in _copy_pair_crossings(pu, pv, xi_v, delta, scale):
+                    pt = ((t * pu[0] + ou[0]) % size, (t * pu[1] + ou[1]) % size)
                     if pt in points:
                         degenerate = True
                         break
@@ -225,41 +242,39 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
     next_v = [-1] * k
     prev_u = [-1] * k
     prev_v = [-1] * k
-    disp_u: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))] * k
-    disp_v: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))] * k
+    disp_u: list[Vec2] = [(0, 0)] * k  # in units of 1/size
+    disp_v: list[Vec2] = [(0, 0)] * k
 
     for family, copies, prim, nxt, prv, disp, copy_idx, par_idx in (
         ("u", n, pu, next_u, prev_u, disp_u, 0, 2),
         ("v", m, pv, next_v, prev_v, disp_v, 1, 3),
     ):
-        for copy in range(copies):
-            on_copy = sorted(
-                (cr[par_idx], ci) for ci, cr in enumerate(crossings) if cr[copy_idx] == copy
-            )
+        by_copy: list[list[tuple[int, int]]] = [[] for _ in range(copies)]
+        for ci, cr in enumerate(crossings):
+            by_copy[cr[copy_idx]].append((cr[par_idx], ci))
+        for copy, on_copy in enumerate(by_copy):
+            on_copy.sort()
             if len({t for t, _ in on_copy}) != len(on_copy):
                 raise ArrangementError(f"parameter tie along {family} copy {copy}")
-            total = (Fraction(0), Fraction(0))
+            total = (0, 0)
             for pos, (t, ci) in enumerate(on_copy):
                 t_next, ci_next = on_copy[(pos + 1) % len(on_copy)]
-                gap = (t_next - t) % 1
-                if gap == 0:
-                    gap = Fraction(1)  # single crossing on this copy: full loop
+                gap = (t_next - t) % size or size  # one crossing on this copy: full loop
                 nxt[ci] = ci_next
                 prv[ci_next] = ci
                 disp[ci] = (gap * prim[0], gap * prim[1])
                 total = (total[0] + disp[ci][0], total[1] + disp[ci][1])
-            if total != (Fraction(prim[0]), Fraction(prim[1])):
+            if total != (size * prim[0], size * prim[1]):
                 raise ArrangementError(
-                    f"arc displacements along {family} copy {copy} sum to {total}, "
+                    f"arc displacements along {family} copy {copy} sum to {total}/{size}, "
                     f"expected {prim}"
                 )
 
-    denom = 1
-    for dx, dy in list(disp_u) + list(disp_v):
-        denom = math.lcm(denom, dx.denominator, dy.denominator)
+    # The least common denominator of all displacements.
+    unit = math.gcd(size, *(c for pair in disp_u + disp_v for c in pair))
 
-    def scale(pairs: list[tuple[Fraction, Fraction]]) -> tuple[tuple[int, int], ...]:
-        return tuple((int(dx * denom), int(dy * denom)) for dx, dy in pairs)
+    def scale_down(pairs: list[Vec2]) -> tuple[Vec2, ...]:
+        return tuple((dx // unit, dy // unit) for dx, dy in pairs)
 
     return Arrangement(
         u_vec=u_vec,
@@ -274,9 +289,9 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
         next_v=tuple(next_v),
         prev_u=tuple(prev_u),
         prev_v=tuple(prev_v),
-        disp_u=scale(disp_u),
-        disp_v=scale(disp_v),
-        denom=denom,
+        disp_u=scale_down(disp_u),
+        disp_v=scale_down(disp_v),
+        denom=size // unit,
         copy_of=tuple((cr[0], cr[1]) for cr in crossings),
     )
 
@@ -370,30 +385,38 @@ class _Tracer:
                 p = (q & ~3) | rt
                 if p == start:
                     break
-            if hx % denom or hy % denom:
-                raise ArrangementError("component homology is not integral")
-            if turns % 4:
-                raise ArrangementError("component turning is not a whole number of turns")
-            out.append((hx // denom, hy // denom, turns // 4, arcs))
+            out.append((*_whole(hx, hy, turns, denom), arcs))
         return out
 
 
-def _classify(
-    components: Iterable[tuple[int, int, int, int]], oriented: bool = False
-) -> tuple[int, int, Vec2 | None]:
-    """Check one resolved state's components and summarize them.
+def _whole(hx: int, hy: int, turns: int, denom: int) -> tuple[int, int, int]:
+    """A closed walk's homology in lattice units and its winding in whole
+    turns; raises ArrangementError unless both are whole."""
+    if hx % denom or hy % denom:
+        raise ArrangementError("component homology is not integral")
+    if turns % 4:
+        raise ArrangementError("component turning is not a whole number of turns")
+    return hx // denom, hy // denom, turns // 4
 
-    ``components`` are the tracer's (hx, hy, winding, arcs) tuples.  Returns
-    (trivial circles, essential count, common primitive direction), the
-    direction taken up to sign unless ``oriented``.  Raises ArrangementError
-    on a broken invariant: a trivial circle whose winding is not +-1 (or any
-    trivial circle when ``oriented``), an essential component with nonzero
-    winding or non-primitive homology, or essential components in two
-    directions.
+
+def _classify(
+    components: Iterable[tuple[int, ...]],
+    oriented: bool = False,
+    direction: Vec2 | None = None,
+) -> tuple[int, int, Vec2 | None]:
+    """Check closed components and summarize them.
+
+    ``components`` start with (hx, hy, winding), as ``_whole`` returns them.
+    Returns (trivial circles, essential count, common primitive direction),
+    the direction taken up to sign unless ``oriented``; ``direction`` is the
+    one the state's earlier components already fixed.  Raises
+    ArrangementError on a broken invariant: a trivial circle whose winding is
+    not +-1 (or any trivial circle when ``oriented``), an essential component
+    with nonzero winding or non-primitive homology, or essential components
+    in two directions.
     """
     circles = count = 0
-    direction: Vec2 | None = None
-    for hx, hy, winding, _arcs in components:
+    for hx, hy, winding, *_ in components:
         if hx == 0 and hy == 0:
             if oriented:
                 raise ArrangementError("trivial circle in an oriented smoothing")
@@ -430,6 +453,8 @@ def trace(arr: Arrangement, state: SmoothingState) -> list[TracedComponent]:
 # Unoriented oracle product
 # ----------------------------------------------------------------------
 
+StateSum = dict[Vec2 | None, dict[int, int]]  # residual class -> {exponent: coeff}
+
 
 def _delta_power_items(max_power: int) -> list[tuple[tuple[int, int], ...]]:
     powers = [LaurentPoly.one()]
@@ -438,18 +463,20 @@ def _delta_power_items(max_power: int) -> list[tuple[tuple[int, int], ...]]:
     return [p.terms() for p in powers]
 
 
-def _state_sum(
-    arr: Arrangement, start: int, step: int, dump: IO[str] | None = None
-) -> dict[Vec2 | None, dict[int, int]]:
-    """Accumulate the state sum over masks congruent to start modulo step."""
+def _residual(count: int, direction: Vec2 | None) -> Vec2 | None:
+    return None if count == 0 else (count * direction[0], count * direction[1])
+
+
+def _state_sum(arr: Arrangement, dump: IO[str] | None = None) -> StateSum:
+    """Brute force: trace each of the 2^k states, optionally listing them."""
     tracer = _Tracer(arr)
     k = arr.crossing_count
     deltas = _delta_power_items(k)
-    acc: dict[Vec2 | None, dict[int, int]] = {}
-    for mask in range(start, 1 << k, step):
+    acc: StateSum = {}
+    for mask in range(1 << k):
         exponent = k - 2 * bin(mask).count("1")
         circles, ess_count, ess_dir = _classify(tracer.components(mask))
-        key = None if ess_count == 0 else (ess_count * ess_dir[0], ess_count * ess_dir[1])
+        key = _residual(ess_count, ess_dir)
         bucket = acc.setdefault(key, {})
         for exp, coeff in deltas[circles]:  # zeros are dropped by LaurentPoly
             bucket[exp + exponent] = bucket.get(exp + exponent, 0) + coeff
@@ -459,10 +486,111 @@ def _state_sum(
     return acc
 
 
-def _worker_count(requested: int, states: int) -> int:
-    """Processes worth starting for ``states`` residues: at least 1, at most
-    the CPU count and the number of states."""
-    return max(1, min(requested, os.cpu_count() or 1, states))
+def _crossing_order(tracer: _Tracer) -> list[int]:
+    """Greedy elimination order: next, the crossing leaving the fewest open ports.
+
+    A port is open while its crossing is unresolved and the crossing at the
+    other end of its arc is resolved.
+    """
+    arc_other = tracer.arc_other
+    todo = set(range(tracer.k))
+    open_ports: set[int] = set()
+    order = []
+
+    def growth(c: int) -> tuple[int, int]:
+        ports = range(4 * c, 4 * c + 4)
+        closed = sum(p in open_ports for p in ports)
+        opened = sum(p not in open_ports and arc_other[p] >> 2 != c for p in ports)
+        return opened - closed, c
+
+    while todo:
+        c = min(todo, key=growth)
+        todo.discard(c)
+        order.append(c)
+        for p in range(4 * c, 4 * c + 4):
+            if p in open_ports:
+                open_ports.discard(p)
+            elif arc_other[p] >> 2 != c:
+                open_ports.add(arc_other[p])
+    return order
+
+
+def _contracted_sum(tracer: _Tracer) -> StateSum:
+    """The state sum, resolving one crossing at a time (frontier contraction).
+
+    A partial state is keyed by its open paths, each (end port, end port,
+    hx, hy, turning) measured from the smaller end, and by the essential
+    count and direction of the components closed so far; its value maps
+    exponents to coefficients.  Resolving a crossing adds its fresh arcs,
+    joins its two port pairs, and closes at most two components, which pass
+    the brute force's checks (``_whole``, then ``_classify``).  Each trivial
+    circle multiplies the coefficient by delta = -A^2 - A^-2 as it closes.
+    """
+    arc_other, disp_x, disp_y = tracer.arc_other, tracer.disp_x, tracer.disp_y
+    turn, denom = tracer.turn, tracer.denom
+    states: dict[tuple, dict[int, int]] = {((), 0, None): {0: 1}}
+    for c in _crossing_order(tracer):
+        ports = range(4 * c, 4 * c + 4)
+        # Arcs from this crossing to an unresolved one (or to itself) enter
+        # the partial state now; ``fresh`` holds each arc from both ends.
+        fresh = {}
+        for p in ports:
+            q = arc_other[p]
+            fresh[p] = (q, disp_x[p], disp_y[p], 0)
+            fresh[q] = (p, disp_x[q], disp_y[q], 0)
+        choices = [
+            (
+                shift,
+                [(4 * c + a, 4 * c + pair[a], turn[(a, pair[a])]) for a in (U_IN, U_OUT)],
+            )
+            for pair, shift in ((tracer.pair_a, 1), (tracer.pair_b, -1))
+        ]
+        nxt: dict[tuple, dict[int, int]] = {}
+        for (paths, count, direction), poly in states.items():
+            local = {}
+            rest = []
+            for path in paths:
+                a, b, hx, hy, tw = path
+                if a >> 2 == c or b >> 2 == c:
+                    local[a] = (b, hx, hy, tw)
+                    local[b] = (a, -hx, -hy, -tw)
+                else:
+                    rest.append(path)
+            for p in ports:
+                if p not in local:
+                    local[p] = fresh[p]
+                    q = fresh[p][0]
+                    local[q] = fresh[q]
+            for shift, joins in choices:
+                ends = dict(local)
+                closed = []
+                for a, b, t in joins:
+                    # Arrive at port a, turn by t, leave by port b.
+                    x, ax, ay, at = ends.pop(a)
+                    y, bx, by, bt = ends.pop(b)
+                    if x == b:
+                        closed.append(_whole(bx, by, bt + t, denom))
+                    else:
+                        hx, hy, tw = bx - ax, by - ay, bt + t - at
+                        ends[x] = (y, hx, hy, tw)
+                        ends[y] = (x, -hx, -hy, -tw)
+                circles, added, new_dir = (
+                    _classify(closed, direction=direction) if closed else (0, 0, direction)
+                )
+                key = (
+                    tuple(sorted(rest + [(a, *path) for a, path in ends.items() if a < path[0]])),
+                    count + added,
+                    new_dir,
+                )
+                terms = [(e + shift, v) for e, v in poly.items()]
+                for _ in range(circles):
+                    terms = [(e + d, -v) for e, v in terms for d in (2, -2)]
+                bucket = nxt.setdefault(key, {})
+                for e, v in terms:
+                    bucket[e] = bucket.get(e, 0) + v
+        states = nxt
+    # No path is open any more, so each state is one residual class.
+    return {_residual(count, direction): poly for (_, count, direction), poly in states.items()}
 
 
 def unoriented_product(
@@ -472,12 +600,14 @@ def unoriented_product(
     workers: int = 1,
     dump: IO[str] | None = None,
 ) -> SkeinElement:
-    """Superpose x over y, enumerate all 2^k smoothing states, and reduce.
+    """Superpose x over y, sum over all 2^k smoothing states, and reduce.
 
-    The result is a standard-basis skein element.  ``workers`` is clamped by
-    ``_worker_count``; a ``dump`` of the states is written from one process.  Parallel classes (det 0)
-    take the crossing-free route: their primitives necessarily agree on the
-    torus, and the product is the merged multicurve with added multiplicity.
+    The result is a standard-basis skein element.  The state sum is
+    contracted crossing by crossing; a ``dump`` lists every state, so it
+    takes the brute-force enumeration instead.  ``workers`` is accepted for
+    compatibility and has no effect.  Parallel classes (det 0) take the
+    crossing-free route: their primitives necessarily agree on the torus,
+    and the product is the merged multicurve with added multiplicity.
     """
     if x.is_empty:
         return SkeinElement.generator(y, Basis.STANDARD)
@@ -492,19 +622,10 @@ def unoriented_product(
         return SkeinElement.generator(UnorientedClass(merged), Basis.STANDARD)
 
     arr = build_arrangement(x.vec, y.vec, budget=budget)
-    workers = _worker_count(workers, 1 << arr.crossing_count)
-    if workers > 1 and dump is None:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.starmap(_state_sum, [(arr, r, workers) for r in range(workers)])
-    else:
-        parts = [_state_sum(arr, 0, 1, dump=dump)]
-    # make() adds up the residues' partial sums key by key.
+    acc = _contracted_sum(_Tracer(arr)) if dump is None else _state_sum(arr, dump)
     terms = [
         (EMPTY if key is None else UnorientedClass(key), LaurentPoly(bucket))
-        for part in parts
-        for key, bucket in part.items()
+        for key, bucket in acc.items()
     ]
     return SkeinElement.make(Basis.STANDARD, terms)
 

@@ -1,0 +1,148 @@
+"""Reference arrangement builder: the bounding-box scan in exact `Fraction`s.
+
+This is the original construction that ``build_arrangement`` replaced with
+integer arithmetic.  It solves every copy pair's line equations by scanning
+the integer translates that can reach the unit parameter square, in
+``(zx, zy)`` order, so its crossing indices define the order the integer
+builder must reproduce.  Tests compare the two field for field.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from toruskein.smoothing_oracle import (
+    _OFFSET_DENOMS,
+    Arrangement,
+    ArrangementError,
+    _transversal,
+)
+from toruskein.torus_curves import Vec2, det2, split_signed
+
+
+def copy_pair_crossings(
+    pu: Vec2, pv: Vec2, ou: tuple[Fraction, Fraction], ov: tuple[Fraction, Fraction]
+) -> list[tuple[Fraction, Fraction]]:
+    """Curve parameters (t, w) of all crossings of one u copy with one v copy.
+
+    Solves t*pu + ou = w*pv + ov (mod Z^2) for t, w in [0, 1).
+    """
+    d0 = det2(pu, pv)
+    dx, dy = ov[0] - ou[0], ov[1] - ou[1]
+    # e = t*pu - w*pv with t, w in [0, 1) lies in the parallelogram spanned by
+    # pu and -pv; scan every integer translate z = e - d that can reach it.
+    lo_x = math.floor(min(0, pu[0]) - max(0, pv[0]) - dx)
+    hi_x = math.ceil(max(0, pu[0]) - min(0, pv[0]) - dx)
+    lo_y = math.floor(min(0, pu[1]) - max(0, pv[1]) - dy)
+    hi_y = math.ceil(max(0, pu[1]) - min(0, pv[1]) - dy)
+    sols = []
+    for zx in range(lo_x, hi_x + 1):
+        for zy in range(lo_y, hi_y + 1):
+            ex, ey = dx + zx, dy + zy
+            t = Fraction(ex * pv[1] - ey * pv[0], d0)
+            w = Fraction(pu[1] * ex - pu[0] * ey, d0)
+            if 0 <= t < 1 and 0 <= w < 1:
+                sols.append((t, w))
+    if len(sols) != abs(d0):
+        raise ArrangementError(
+            f"copy pair produced {len(sols)} crossings, expected {abs(d0)}"
+        )
+    return sols
+
+
+def scan_arrangement(u_vec: Vec2, v_vec: Vec2) -> Arrangement:
+    """The scan builder for det2(u_vec, v_vec) != 0, without a budget."""
+    k = abs(det2(u_vec, v_vec))
+    n, pu = split_signed(u_vec)
+    m, pv = split_signed(v_vec)
+    d0 = det2(pu, pv)
+    xi_u = _transversal(pu)
+    xi_v = _transversal(pv)
+
+    for den_u, den_v in _OFFSET_DENOMS:
+        eps_u, eps_v = Fraction(1, den_u), Fraction(1, den_v)
+        crossings: list[tuple[int, int, Fraction, Fraction]] = []
+        points: set[tuple[Fraction, Fraction]] = set()
+        degenerate = False
+        for j in range(n):
+            ou = ((j + 1) * eps_u * xi_u[0], (j + 1) * eps_u * xi_u[1])
+            for l in range(m):
+                ov = ((l + 1) * eps_v * xi_v[0], (l + 1) * eps_v * xi_v[1])
+                for t, w in copy_pair_crossings(pu, pv, ou, ov):
+                    pt = ((t * pu[0] + ou[0]) % 1, (t * pu[1] + ou[1]) % 1)
+                    if pt in points:
+                        degenerate = True
+                        break
+                    points.add(pt)
+                    crossings.append((j, l, t, w))
+                if degenerate:
+                    break
+            if degenerate:
+                break
+        if not degenerate:
+            break
+    else:
+        raise ArrangementError("could not find a non-degenerate offset assignment")
+
+    if len(crossings) != k:
+        raise ArrangementError(f"built {len(crossings)} crossings, expected {k}")
+
+    next_u = [-1] * k
+    next_v = [-1] * k
+    prev_u = [-1] * k
+    prev_v = [-1] * k
+    disp_u: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))] * k
+    disp_v: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))] * k
+
+    for family, copies, prim, nxt, prv, disp, copy_idx, par_idx in (
+        ("u", n, pu, next_u, prev_u, disp_u, 0, 2),
+        ("v", m, pv, next_v, prev_v, disp_v, 1, 3),
+    ):
+        for copy in range(copies):
+            on_copy = sorted(
+                (cr[par_idx], ci) for ci, cr in enumerate(crossings) if cr[copy_idx] == copy
+            )
+            if len({t for t, _ in on_copy}) != len(on_copy):
+                raise ArrangementError(f"parameter tie along {family} copy {copy}")
+            total = (Fraction(0), Fraction(0))
+            for pos, (t, ci) in enumerate(on_copy):
+                t_next, ci_next = on_copy[(pos + 1) % len(on_copy)]
+                gap = (t_next - t) % 1
+                if gap == 0:
+                    gap = Fraction(1)  # single crossing on this copy: full loop
+                nxt[ci] = ci_next
+                prv[ci_next] = ci
+                disp[ci] = (gap * prim[0], gap * prim[1])
+                total = (total[0] + disp[ci][0], total[1] + disp[ci][1])
+            if total != (Fraction(prim[0]), Fraction(prim[1])):
+                raise ArrangementError(
+                    f"arc displacements along {family} copy {copy} sum to {total}, "
+                    f"expected {prim}"
+                )
+
+    denom = 1
+    for dx, dy in list(disp_u) + list(disp_v):
+        denom = math.lcm(denom, dx.denominator, dy.denominator)
+
+    def scale(pairs: list[tuple[Fraction, Fraction]]) -> tuple[tuple[int, int], ...]:
+        return tuple((int(dx * denom), int(dy * denom)) for dx, dy in pairs)
+
+    return Arrangement(
+        u_vec=u_vec,
+        v_vec=v_vec,
+        prim_u=pu,
+        prim_v=pv,
+        copies_u=n,
+        copies_v=m,
+        d0=d0,
+        crossing_count=k,
+        next_u=tuple(next_u),
+        next_v=tuple(next_v),
+        prev_u=tuple(prev_u),
+        prev_v=tuple(prev_v),
+        disp_u=scale(disp_u),
+        disp_v=scale(disp_v),
+        denom=denom,
+        copy_of=tuple((cr[0], cr[1]) for cr in crossings),
+    )

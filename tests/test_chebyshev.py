@@ -1,6 +1,6 @@
 import pytest
 
-from toruskein.chebyshev import chebyshev_t, evaluate_laurent, power_to_chebyshev
+from toruskein.chebyshev import MAX_DEGREE, chebyshev_t, evaluate_laurent, power_to_chebyshev
 from toruskein.laurent import A, LaurentPoly
 
 
@@ -25,6 +25,12 @@ class TestChebyshevT:
         with pytest.raises(ValueError):
             chebyshev_t(-1)
 
+    def test_degree_limit(self):
+        assert MAX_DEGREE >= 16 * 64  # far above the degree-64 acceptance check
+        assert len(chebyshev_t(MAX_DEGREE)) == MAX_DEGREE + 1
+        with pytest.raises(ValueError, match="limit"):
+            chebyshev_t(MAX_DEGREE + 1)
+
 
 class TestPowerToChebyshev:
     def test_power_one(self):
@@ -44,6 +50,11 @@ class TestPowerToChebyshev:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             power_to_chebyshev(-2)
+
+    def test_degree_limit(self):
+        assert power_to_chebyshev(MAX_DEGREE)[MAX_DEGREE] == 1
+        with pytest.raises(ValueError, match="limit"):
+            power_to_chebyshev(MAX_DEGREE + 1)
 
 
 def _poly_add(p, q):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +81,23 @@ class TestOracleMul:
         code_w, out_w, err_w = invoke(capsys, *argv[:1], "--workers", "4", *argv[1:])
         assert code_w == 0 and out_w == out
         assert err_w == "note: --dump-states enumerates in one process\n"
+
+    @pytest.mark.parametrize(
+        "x, y, name",
+        [
+            ("(1,1)", "(1,-1)", "1_1__1_-1"),
+            ("(2,1)", "(1,-2)", "2_1__1_-2"),
+            ("(4,-4)", "(3,0)", "4_-4__3_0"),
+        ],
+    )
+    def test_dump_states_replays_byte_for_byte(self, capsys, tmp_path, x, y, name):
+        # Captured before the state sum was contracted; --dump-states must not change.
+        expected = Path(__file__).with_name("dump_states") / name
+        dump = tmp_path / "states.txt"
+        code, out, _ = invoke(capsys, "oracle-mul", "--dump-states", str(dump), x, y)
+        assert code == 0
+        assert out == expected.with_suffix(".out").read_text()
+        assert dump.read_bytes() == expected.with_suffix(".txt").read_bytes()
 
     def test_workers(self, capsys):
         code, out, _ = invoke(capsys, "oracle-mul", "--workers", "2", "(2,1)", "(1,-1)")
@@ -191,6 +209,21 @@ class TestErrors:
     def test_unknown_command(self, capsys):
         code, _, err = invoke(capsys, "frobnicate")
         assert code == 1 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cheb", "(6000,0)"],
+            ["convert", "--to", "chebyshev", "(6000,0)"],
+            ["mul", "(3000,0)", "(1,0)"],
+            ["psi", "(6000,0)"],
+        ],
+        ids=["cheb", "convert", "mul", "psi"],
+    )
+    def test_chebyshev_degree_limit(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "limit" in err
 
     def test_bad_vector(self, capsys):
         code, _, err = invoke(capsys, "mul", "(1,0)", "nonsense")

@@ -1,0 +1,152 @@
+"""Fuzzed command lines: every verb answers with exit code 0 or 1, never a traceback.
+
+Arguments are drawn near the valid forms (vectors, budgets, element JSON,
+PD codes) and from arbitrary text, with sizes kept small enough that every
+accepted input finishes quickly; inputs past a resource bound must be
+refused with exit code 1.  Standard input is fuzzed too, for ``-``.
+"""
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from toruskein.cli import run
+
+coord = st.one_of(st.integers(-6, 6), st.integers(-40, 40), st.sampled_from([10**6, -(10**9)]))
+vec = st.one_of(
+    st.builds("({},{})".format, coord, coord),
+    st.sampled_from(["empty", "(0,0)", "( 1 , -2 )", "(1,2,3)", "-"]),
+    st.text(max_size=10),
+)
+number = st.one_of(st.integers(-3, 10).map(str), st.text(max_size=4))
+json_value = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-5, 5), st.text(max_size=4)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(
+            st.one_of(
+                st.sampled_from(["terms", "gamma", "class", "coeff", "basis", "0", "1", "-2"]),
+                st.text(max_size=3),
+            ),
+            children,
+            max_size=3,
+        ),
+    ),
+    max_leaves=12,
+)
+term = st.fixed_dictionaries(
+    {"coeff": st.dictionaries(st.integers(-4, 4).map(str), st.integers(-3, 3), max_size=3)},
+    optional={
+        "gamma": st.lists(coord, min_size=1, max_size=3),
+        "class": st.one_of(st.just("empty"), st.lists(coord, min_size=1, max_size=3)),
+    },
+)
+element = st.one_of(
+    st.builds(
+        lambda basis, terms: {"basis": basis, "terms": terms},
+        st.sampled_from(["standard", "chebyshev", "x"]),
+        st.lists(term, max_size=3),
+    ),
+    st.builds(lambda terms: {"terms": terms}, st.lists(term, max_size=3)),
+    json_value,
+).map(json.dumps)
+element_or_text = st.one_of(element, vec, st.text(max_size=12))
+pd_code = st.one_of(
+    st.lists(
+        st.one_of(
+            st.sampled_from(["X(1,3,2,4)", "X(3,1,4,2)", "O", "X(1,2,3)", "X(1,1,2,2)"]),
+            st.builds("X({},{},{},{})".format, *[st.integers(-1, 6)] * 4),
+        ),
+        max_size=5,
+    ).map(" ".join),
+    st.text(max_size=12),
+)
+
+
+def flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+def argv(verb, *parts):
+    """[verb, *options and positionals, maybe --json]."""
+    return st.tuples(*parts, st.booleans()).map(
+        lambda drawn: [verb]
+        + [a for part in drawn[:-1] for a in (part if isinstance(part, list) else [part])]
+        + (["--json"] if drawn[-1] else [])
+    )
+
+
+budget = flag("--budget", number)
+VERBS = {
+    "mul": argv("mul", flag("--basis", st.sampled_from(["standard", "chebyshev", "b"])), vec, vec),
+    "oracle-mul": argv(
+        "oracle-mul",
+        budget,
+        flag("--workers", number),
+        flag("--dump-states", st.just("DUMP")),
+        vec,
+        vec,
+    ),
+    "gamma-mul": argv("gamma-mul", st.sampled_from([[], ["--oracle"]]), budget, vec, vec),
+    "cheb": argv("cheb", vec),
+    "convert": argv(
+        "convert", flag("--to", st.sampled_from(["standard", "chebyshev", "t"])), element_or_text
+    ),
+    "psi": argv("psi", element_or_text),
+    "psi-inv": argv("psi-inv", element_or_text),
+    "bracket": argv("bracket", flag("--pd", pd_code), budget),
+    "verify": argv(  # always bounded: the default sweeps take seconds
+        "verify",
+        st.integers(-1, 1).map(lambda n: ["--max-coord", str(n)]),
+        st.integers(-1, 3).map(lambda n: ["--max-det", str(n)]),
+        flag("--max-mult", st.integers(-1, 3).map(str)),
+        budget,
+        flag("--workers", number),
+    ),
+    "any": st.lists(
+        st.one_of(st.sampled_from(["-", "--json", "--budget", "-h"]), st.text(max_size=6)),
+        max_size=5,
+    ),
+}
+
+
+def run_quietly(args, stdin_text):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = run(args)
+            except SystemExit as exc:  # argparse --help exits 0 after printing
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+@settings(
+    max_examples=40,
+    deadline=3000,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_every_verb_exits_0_or_1(verb, data):
+    args = data.draw(VERBS[verb], label="argv")
+    stdin_text = data.draw(element_or_text, label="stdin")
+    with tempfile.TemporaryDirectory() as tmp:
+        args = [str(Path(tmp) / "states.txt") if a == "DUMP" else a for a in args]
+        code, out, err = run_quietly(args, stdin_text)
+    assert code in (0, 1), (args, code, err)
+    assert "Traceback" not in out + err
+    if code == 1:
+        assert "error:" in err, err

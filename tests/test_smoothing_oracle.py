@@ -1,6 +1,9 @@
 import io
+import random
 
 import pytest
+
+from scan_arrangement import scan_arrangement
 
 from toruskein.laurent import LaurentPoly
 from toruskein.oriented import OrientedElement, gamma_mul
@@ -17,7 +20,8 @@ from toruskein.smoothing_oracle import (
     trace,
     unoriented_product,
 )
-from toruskein.torus_curves import EMPTY, UnorientedClass, det2
+from toruskein.torus_curves import EMPTY, UnorientedClass, canonicalize, det2
+from toruskein.verify import canonical_classes
 
 
 def cls(vec):
@@ -77,6 +81,13 @@ class TestBuildArrangement:
                 assert arr.crossing_count == abs(d)
                 assert _cycles(arr.next_u) == arr.copies_u
                 assert _cycles(arr.next_v) == arr.copies_v
+
+    def test_matches_the_scan_builder(self):
+        vecs = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
+        pairs = [(u, v) for u in vecs for v in vecs if 0 < det2(u, v) <= 12]
+        assert len(pairs) > 500
+        for u, v in pairs:
+            assert build_arrangement(u, v) == scan_arrangement(u, v), (u, v)
 
     def test_parallel_classes_rejected(self):
         with pytest.raises(ValueError):
@@ -153,25 +164,54 @@ class TestClassify:
         assert smoothing_oracle._classify(components, oriented=True) == (0, 2, (-1, -2))
 
 
-class TestWorkerCount:
-    """The clamp is a pure computation; no process is started here."""
+def _sum(acc):
+    """A state sum without zero coefficients or empty buckets."""
+    out = {key: {e: c for e, c in bucket.items() if c} for key, bucket in acc.items()}
+    return {key: bucket for key, bucket in out.items() if bucket}
 
-    @pytest.mark.parametrize(
-        "requested, states, cpus, expected",
-        [
-            (1, 1024, 2, 1),
-            (0, 1024, 2, 1),
-            (-5, 1024, 2, 1),
-            (2, 1024, 2, 2),
-            (10**9, 1024, 2, 2),
-            (10**9, 1024, 64, 64),
-            (10**9, 4, 64, 4),
-            (3, 2, None, 1),
-        ],
-    )
-    def test_clamp(self, monkeypatch, requested, states, cpus, expected):
-        monkeypatch.setattr(smoothing_oracle.os, "cpu_count", lambda: cpus)
-        assert smoothing_oracle._worker_count(requested, states) == expected
+
+def _assert_contraction_matches_enumeration(pairs):
+    for u, v in pairs:
+        arr = build_arrangement(u, v)
+        contracted = smoothing_oracle._contracted_sum(smoothing_oracle._Tracer(arr))
+        assert _sum(contracted) == _sum(smoothing_oracle._state_sum(arr)), (u, v)
+
+
+class TestContraction:
+    """The crossing-by-crossing state sum against the 2^k enumeration."""
+
+    def test_matches_enumeration_on_small_pairs(self):
+        classes = [c.vec for c in canonical_classes(3)]
+        pairs = [(u, v) for u in classes for v in classes if 0 < det2(u, v) <= 12]
+        assert len(pairs) > 200
+        _assert_contraction_matches_enumeration(pairs)
+
+    def test_matches_enumeration_with_copies(self):
+        rng = random.Random(2014)
+        pairs = []
+        # n copies of pu over m copies of pv, k = n*m*|det2(pu, pv)| crossings.
+        for k, n, m, wanted in ((13, 1, 1, 1), (14, 2, 7, 1), (15, 3, 5, 2)):
+            found = 0
+            while found < wanted:
+                pu = (rng.randint(-3, 3), rng.randint(-3, 3))
+                pv = (rng.randint(-3, 3), rng.randint(-3, 3))
+                if n * m * abs(det2(pu, pv)) == k:
+                    u, v = (n * pu[0], n * pu[1]), (m * pv[0], m * pv[1])
+                    pairs.append((canonicalize(u)[0].vec, canonicalize(v)[0].vec))
+                    found += 1
+        assert [abs(det2(u, v)) for u, v in pairs] == [13, 14, 15, 15]
+        _assert_contraction_matches_enumeration(pairs)
+
+    def test_tampered_turn_table_raises(self):
+        tracer = smoothing_oracle._Tracer(build_arrangement((2, 1), (1, -2)))
+        corner = next(iter(tracer.turn))
+        tracer.turn[corner] = -tracer.turn[corner]
+        with pytest.raises(ArrangementError, match="turn"):
+            smoothing_oracle._contracted_sum(tracer)
+
+    def test_twenty_six_crossings(self):
+        x, y = cls((5, 1)), cls((1, -5))
+        assert unoriented_product(x, y, budget=26) == std((5, 1)) * std((1, -5))
 
 
 class TestUnorientedProduct:
