@@ -13,6 +13,12 @@ circle of a state -- including the last one -- evaluates to
 delta = -A^2 - A^-2 and the empty diagram evaluates to 1, so the two-crossing
 clasp of two circles comes out to A^6 + A^2 + A^-2 + A^-6 exactly.
 
+The bracket is the sum of A^(#A - #B) * delta^circles over all 2^k states.
+``kauffman_bracket`` evaluates that sum by frontier contraction, resolving
+one crossing at a time and merging partial states that leave the same open
+labels matched the same way; ``kauffman_bracket_recursive`` re-derives it by
+recursive splicing as an independent cross-check.
+
 Tuples are stored canonically up to rotation by two (the same unoriented
 crossing re-read from the outgoing under-strand), which makes the over/under
 mirror a literal involution.
@@ -137,41 +143,73 @@ class _UnionFind:
         return False
 
 
+def _crossing_order(crossings: tuple[Crossing, ...]) -> list[Crossing]:
+    """Greedy resolution order: next is the crossing that leaves the fewest
+    open labels, the lowest index on ties."""
+    singles = [frozenset(e for e in t if t.count(e) == 1) for t in crossings]
+    open_labels: frozenset[int] = frozenset()
+    left = list(range(len(crossings)))
+    order = []
+    while left:
+        best = min(left, key=lambda i: (len(singles[i]) - 2 * len(singles[i] & open_labels), i))
+        left.remove(best)
+        order.append(crossings[best])
+        open_labels ^= singles[best]
+    return order
+
+
 def kauffman_bracket(pd: PDCode, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
-    """Evaluate the bracket by summing A^(#A - #B) * delta^circles over all states."""
+    """The bracket: the sum of A^(#A - #B) * delta^circles over all states.
+
+    It is evaluated by resolving one crossing at a time (frontier
+    contraction).  A label is open once the crossing of one of its two
+    occurrences is resolved and the other is not.  A partial state is keyed
+    by the matching of its open labels -- each paired with the open label at
+    the other end of its strand through the resolved crossings -- stored as
+    sorted (smaller, larger) pairs; its value maps exponents to coefficients,
+    and equal keys are merged.  Each circle multiplies the coefficient by
+    delta = -A^2 - A^-2 as it closes, so the cost follows the number of
+    matchings on the frontier, not 2^k.
+    """
     k = pd.crossing_count
     if k > budget:
-        raise BudgetExceededError(
-            f"{k} crossings exceed the budget of {budget} (2^{k} states)"
-        )
-    deltas = [LaurentPoly.one()]
-    for _ in range(k + pd.free_loops + 1):
-        deltas.append(deltas[-1] * LaurentPoly.delta())
-    acc: dict[int, int] = {}
-    for mask in range(1 << k):
-        uf = _UnionFind()
-        closed = 0
-        labels = set()
-        for i, (a, b, c, d) in enumerate(pd.crossings):
-            labels.update((a, b, c, d))
-            if (mask >> i) & 1:  # B-smoothing
-                pairs = ((a, b), (c, d))
-            else:  # A-smoothing
-                pairs = ((a, d), (b, c))
-            for x, y in pairs:
-                if uf.union(x, y):
-                    closed += 1
-        # Each label is visited at two slots, so every class closes into a
-        # circle; circles = closures counted above.
-        circles = closed + pd.free_loops
-        exponent = k - 2 * bin(mask).count("1")
-        for e, c in deltas[circles].terms():
-            s = acc.get(e + exponent, 0) + c
-            if s:
-                acc[e + exponent] = s
-            else:
-                del acc[e + exponent]
-    return LaurentPoly(acc)
+        raise BudgetExceededError(f"{k} crossings exceed the budget of {budget}")
+    states: dict[tuple, dict[int, int]] = {(): {0: 1}}
+    for a, b, c, d in _crossing_order(pd.crossings):
+        choices = ((1, ((a, d), (b, c))), (-1, ((a, b), (c, d))))
+        nxt: dict[tuple, dict[int, int]] = {}
+        for matching, poly in states.items():
+            # Strands are named by the labels at their ends.  A label first
+            # met here is a strand of its own, with both ends at itself; an
+            # open label's entry is overwritten by its partner in the matching.
+            strands = {a: a, b: b, c: c, d: d}
+            for x, y in matching:
+                strands[x] = y
+                strands[y] = x
+            for shift, joins in choices:
+                # ``ends`` maps each strand end to the strand's other end.
+                ends = dict(strands)
+                circles = 0
+                for x, y in joins:
+                    other_x = ends.pop(x)
+                    if other_x == y:  # x and y end the same strand: a circle
+                        circles += 1
+                        if x != y:
+                            del ends[y]
+                    else:
+                        other_y = ends.pop(y)
+                        ends[other_x] = other_y
+                        ends[other_y] = other_x
+                key = tuple(sorted((x, y) for x, y in ends.items() if x < y))
+                terms = [(e + shift, v) for e, v in poly.items()]
+                for _ in range(circles):
+                    terms = [(e + s, -v) for e, v in terms for s in (2, -2)]
+                bucket = nxt.setdefault(key, {})
+                for e, v in terms:
+                    bucket[e] = bucket.get(e, 0) + v
+        states = nxt
+    # No label is open any more, so the one remaining key is the empty matching.
+    return LaurentPoly(states[()]) * LaurentPoly.delta() ** pd.free_loops
 
 
 def kauffman_bracket_recursive(pd: PDCode, budget: int = DEFAULT_BUDGET) -> LaurentPoly:

@@ -13,7 +13,7 @@ coefficients, e.g. ``{"-2": -1, "2": -1}``.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 
 class ParseError(ValueError):
@@ -31,7 +31,7 @@ class LaurentPoly:
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         acc: dict[int, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
         for exp, coeff in items:
             c = acc.get(exp, 0) + coeff
             if c:

@@ -19,9 +19,9 @@ computed by converting to the Chebyshev basis and back.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Mapping
 
 from . import chebyshev
 from .laurent import ZERO, LaurentPoly
@@ -55,7 +55,7 @@ class TermMap:
         """Merge equal keys, drop zero coefficients and sort by key order."""
         acc: dict = {}
         normalize = cls._normalize_key
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
         for key, coeff in items:
             if normalize is not None:
                 key = normalize(key)

@@ -1,4 +1,7 @@
 import pytest
+from brute_bracket import brute_bracket
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toruskein.bracket_planar import (
     CINQUEFOIL,
@@ -151,3 +154,83 @@ def test_budget_guard():
         kauffman_bracket(big)
     with pytest.raises(BudgetExceededError):
         kauffman_bracket_recursive(big)
+
+
+def test_split_kinks_have_more_circles_than_crossings():
+    # The all-B state of two negative kinks side by side has four circles.
+    two_kinks = disjoint_union(KINK_NEGATIVE, KINK_NEGATIVE)
+    expected = (DELTA * LaurentPoly.monomial(-1, -3)) ** 2
+    assert kauffman_bracket(two_kinks) == expected
+    assert brute_bracket(two_kinks) == expected
+    assert kauffman_bracket_recursive(two_kinks) == expected
+
+
+# ----- the contraction against the 2^k state sum -----
+
+
+def torus_knot(n: int) -> PDCode:
+    """The closed 2-braid T(2, n) for odd n: X(a, a+n, a+1, a+n+1) mod 2n, a odd."""
+    m = 2 * n
+
+    def lab(x: int) -> int:
+        return (x - 1) % m + 1
+
+    return PDCode(tuple((lab(a), lab(a + n), lab(a + 1), lab(a + n + 1)) for a in range(1, m, 2)))
+
+
+@st.composite
+def random_pd_codes(draw, max_crossings: int = 12) -> PDCode:
+    """A valid PD code made by pairing the 4k slots at random: kinks, labels
+    repeated within a crossing and non-planar pairings all occur."""
+    k = draw(st.integers(0, max_crossings))
+    slots = draw(st.permutations(range(4 * k)))
+    labels = [0] * (4 * k)
+    for label in range(2 * k):
+        labels[slots[2 * label]] = labels[slots[2 * label + 1]] = label + 1
+    crossings = tuple(tuple(labels[4 * i : 4 * i + 4]) for i in range(k))
+    return PDCode(crossings, draw(st.integers(0, 2)))
+
+
+BOUNDED = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+class TestContraction:
+    @BOUNDED
+    @given(random_pd_codes())
+    def test_matches_state_sum_and_recursion(self, pd):
+        value = kauffman_bracket(pd)
+        assert value == brute_bracket(pd)
+        assert value == kauffman_bracket_recursive(pd)
+
+    @BOUNDED
+    @given(st.data())
+    def test_crossing_order_does_not_matter(self, data):
+        pd = data.draw(random_pd_codes(max_crossings=16))
+        order = data.draw(st.permutations(pd.crossings))
+        assert kauffman_bracket(PDCode(tuple(order), pd.free_loops)) == kauffman_bracket(pd)
+
+    def test_six_disjoint_cinquefoils(self):
+        six = CINQUEFOIL
+        for _ in range(5):
+            six = disjoint_union(six, CINQUEFOIL)
+        assert six.crossing_count == 30
+        assert kauffman_bracket(six, budget=30) == kauffman_bracket(CINQUEFOIL) ** 6
+
+    def test_torus_knot_closed_form(self):
+        # Resolving one crossing of the twist region: the A-smoothing leaves
+        # the twist with n - 1 crossings, the B-smoothing opens it into a
+        # circle with n - 1 kinks, each worth A + A^-1 delta = -A^-3.  With
+        # no crossings the closed braid is two circles.
+        a, a_inv, kink = LaurentPoly.monomial(1, 1), LaurentPoly.monomial(1, -1), LaurentPoly.monomial(-1, -3)
+        closed_form = [DELTA * DELTA]
+        for n in range(1, 32):
+            closed_form.append(a * closed_form[n - 1] + a_inv * DELTA * kink ** (n - 1))
+        for n in (1, 3, 5, 7):
+            assert brute_bracket(torus_knot(n)) == closed_form[n]
+        assert kauffman_bracket(torus_knot(31), budget=31) == closed_form[31]
+
+    def test_forty_crossing_mirror(self):
+        pd = disjoint_union(torus_knot(17), add_reidemeister_ii(disjoint_union(torus_knot(15), FIGURE_EIGHT), 3, 20))
+        pd = add_reidemeister_ii(pd, 1, 9)
+        assert pd.crossing_count == 40
+        assert kauffman_bracket(mirror(pd), budget=40) == kauffman_bracket(pd, budget=40).mirror()

@@ -17,6 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from test_bracket_planar import torus_knot
+
+from toruskein import bracket_planar as bp
 from toruskein.cli import run
 
 coord = st.one_of(st.integers(-6, 6), st.integers(-40, 40), st.sampled_from([10**6, -(10**9)]))
@@ -68,6 +71,32 @@ pd_code = st.one_of(
     ).map(" ".join),
     st.text(max_size=12),
 )
+
+BUILT_IN = [bp.KINK_POSITIVE, bp.KINK_NEGATIVE, bp.HOPF_LINK, bp.TREFOIL, bp.FIGURE_EIGHT,
+            bp.SOLOMON_LINK, bp.CINQUEFOIL]
+
+
+@st.composite
+def large_pd_code(draw):
+    """A valid diagram of 15 to 30 crossings: twist knots and built-in
+    diagrams side by side, Reidemeister II pokes and mirrors, with the
+    crossings in shuffled order."""
+    target = draw(st.integers(15, 30))
+    pd = bp.PDCode(())
+    while pd.crossing_count < target:
+        room = target - pd.crossing_count
+        parts = [torus_knot(n) for n in range(3, room + 1, 2)]
+        parts += [part for part in BUILT_IN if part.crossing_count <= room]
+        grown = [bp.disjoint_union(pd, part) for part in parts]
+        if room >= 2 and pd.crossing_count:
+            over, under = draw(st.lists(st.sampled_from(sorted(pd.edges())), min_size=2, max_size=2,
+                                        unique=True))
+            grown.append(bp.add_reidemeister_ii(pd, over, under))
+        pd = draw(st.sampled_from(grown))
+    if draw(st.booleans()):
+        pd = bp.mirror(pd)
+    order = draw(st.permutations(pd.crossings))
+    return str(bp.PDCode(tuple(order), draw(st.integers(0, 2))))
 
 
 def flag(name, values):
@@ -150,3 +179,12 @@ def test_every_verb_exits_0_or_1(verb, data):
     assert "Traceback" not in out + err
     if code == 1:
         assert "error:" in err, err
+
+
+@settings(max_examples=40, deadline=3000, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(pd=large_pd_code(), as_json=st.booleans())
+def test_large_brackets_run_under_a_raised_budget(pd, as_json):
+    args = ["bracket", "--pd", pd, "--budget", "40"] + (["--json"] if as_json else [])
+    code, out, err = run_quietly(args, "")
+    assert code == 0, (args, err)
+    assert out and "Traceback" not in out + err

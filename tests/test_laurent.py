@@ -1,4 +1,5 @@
 import random
+import types
 
 import pytest
 from hypothesis import given
@@ -134,3 +135,10 @@ def test_pow_rejects_negative():
 def test_hash_consistency():
     assert hash(LaurentPoly({1: 1})) == hash(A)
     assert len({DELTA, LaurentPoly({2: -1, -2: -1})}) == 1
+
+
+def test_non_dict_mappings_and_pairs_construct_the_same_poly():
+    expected = LaurentPoly({2: 1, -1: 3})
+    assert LaurentPoly(types.MappingProxyType({2: 1, -1: 3})) == expected
+    assert LaurentPoly([(2, 1), (-1, 3)]) == expected
+    assert LaurentPoly(types.MappingProxyType({2: 1})) == LaurentPoly({2: 1})

@@ -1,4 +1,5 @@
 import random
+import types
 
 import pytest
 
@@ -143,6 +144,12 @@ class TestSerialization:
         for _ in range(50):
             x = random_skein(rng, rng.choice([Basis.STANDARD, Basis.CHEBYSHEV]))
             assert SkeinElement.from_json(x.to_json()) == x
+
+    def test_non_dict_mapping_makes_the_same_element(self):
+        terms = {UnorientedClass((1, 0)): LaurentPoly.parse("A^2"), EMPTY: LaurentPoly.parse("-1")}
+        expected = SkeinElement.make(Basis.STANDARD, terms)
+        assert SkeinElement.make(Basis.STANDARD, types.MappingProxyType(terms)) == expected
+        assert SkeinElement.make(Basis.STANDARD, list(terms.items())) == expected
 
     def test_zero_coefficients_never_stored(self):
         x = std((1, 0)) - std((1, 0))
