@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, circle_step
 from .smoothing_oracle import BudgetExceededError, DEFAULT_BUDGET
 
 Crossing = tuple[int, int, int, int]
@@ -201,12 +201,7 @@ def kauffman_bracket(pd: PDCode, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
                         ends[other_x] = other_y
                         ends[other_y] = other_x
                 key = tuple(sorted((x, y) for x, y in ends.items() if x < y))
-                terms = [(e + shift, v) for e, v in poly.items()]
-                for _ in range(circles):
-                    terms = [(e + s, -v) for e, v in terms for s in (2, -2)]
-                bucket = nxt.setdefault(key, {})
-                for e, v in terms:
-                    bucket[e] = bucket.get(e, 0) + v
+                circle_step(nxt.setdefault(key, {}), poly, shift, circles)
         states = nxt
     # No label is open any more, so the one remaining key is the empty matching.
     return LaurentPoly(states[()]) * LaurentPoly.delta() ** pd.free_loops

@@ -62,7 +62,6 @@ def _build_parser() -> _Parser:
 
     p = add("oracle-mul", "smoothing-oracle product of two classes (state sum)")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     p.add_argument("--dump-states", metavar="PATH", default=None)
     p.add_argument("x")
     p.add_argument("y")
@@ -95,7 +94,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-det", type=int, default=10)
     p.add_argument("--max-mult", type=int, default=3)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
 
     return parser
 
@@ -142,12 +140,10 @@ def run(argv: Sequence[str] | None = None) -> int:
             x = UnorientedClass.parse(args.x)
             y = UnorientedClass.parse(args.y)
             if args.dump_states:
-                if args.workers > 1:
-                    print("note: --dump-states enumerates in one process", file=sys.stderr)
                 with open(args.dump_states, "w") as dump:
                     product = unoriented_product(x, y, budget=args.budget, dump=dump)
             else:
-                product = unoriented_product(x, y, budget=args.budget, workers=args.workers)
+                product = unoriented_product(x, y, budget=args.budget)
             _emit(product, args.json)
         elif command == "gamma-mul":
             u, v = parse_vec(args.u), parse_vec(args.v)
@@ -179,7 +175,6 @@ def run(argv: Sequence[str] | None = None) -> int:
                 max_det=args.max_det,
                 max_mult=args.max_mult,
                 budget=args.budget,
-                workers=args.workers,
             )
             if args.json:
                 print(

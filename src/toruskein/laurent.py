@@ -14,6 +14,7 @@ coefficients, e.g. ``{"-2": -1, "2": -1}``.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
+from functools import cache
 
 
 class ParseError(ValueError):
@@ -25,9 +26,10 @@ class ParseError(ValueError):
 
 
 class LaurentPoly:
-    """An element of Z[A, A^-1] stored as a map exponent -> nonzero coefficient."""
+    """An element of Z[A, A^-1] stored as one map exponent -> nonzero
+    coefficient, in fill order; whatever shows an order sorts by exponent."""
 
-    __slots__ = ("_terms", "_items")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         acc: dict[int, int] = {}
@@ -39,7 +41,6 @@ class LaurentPoly:
             else:
                 acc.pop(exp, None)
         object.__setattr__(self, "_terms", acc)
-        object.__setattr__(self, "_items", tuple(sorted(acc.items())))
 
     # ----- constructors -----
 
@@ -139,13 +140,13 @@ class LaurentPoly:
 
     def terms(self) -> tuple[tuple[int, int], ...]:
         """(exponent, coefficient) pairs in ascending exponent order."""
-        return self._items
+        return tuple(sorted(self._terms.items()))
 
     def sole_exponent(self) -> int:
         """Exponent of a single-term polynomial; raises otherwise."""
-        if len(self._items) != 1:
+        if len(self._terms) != 1:
             raise ValueError(f"not a monomial: {self}")
-        return self._items[0][0]
+        return next(iter(self._terms))
 
     def evaluate_at_one(self) -> int:
         """Value at A = 1, i.e. the sum of all coefficients."""
@@ -162,32 +163,18 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return hash(frozenset(self._terms.items()))
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self._items)
+        return iter(self.terms())
 
     # ----- text and JSON forms -----
 
     def __str__(self) -> str:
-        if not self._items:
-            return "0"
-        parts = []
-        for exp, coeff in self._items:
-            if exp == 0:
-                body = str(abs(coeff))
-            else:
-                mono = "A" if exp == 1 else f"A^{exp}"
-                body = mono if abs(coeff) == 1 else f"{abs(coeff)}{mono}"
-            parts.append(("-" if coeff < 0 else "+", body))
-        sign, body = parts[0]
-        out = body if sign == "+" else "-" + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return join_signed([signed_monomial(exp, coeff) for exp, coeff in self.terms()])
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({dict(self._items)!r})"
+        return f"LaurentPoly({dict(self.terms())!r})"
 
     @classmethod
     def parse(cls, text: str) -> "LaurentPoly":
@@ -245,7 +232,7 @@ class LaurentPoly:
         return cls(terms)
 
     def to_json(self) -> dict[str, int]:
-        return {str(e): c for e, c in self._items}
+        return {str(e): c for e, c in self.terms()}
 
     @classmethod
     def from_json(cls, data: Mapping[str, int]) -> "LaurentPoly":
@@ -266,8 +253,52 @@ def _wrap(canonical: dict[int, int]) -> LaurentPoly:
     # Internal fast path: `canonical` must already be free of zero coefficients.
     poly = object.__new__(LaurentPoly)
     object.__setattr__(poly, "_terms", canonical)
-    object.__setattr__(poly, "_items", tuple(sorted(canonical.items())))
     return poly
+
+
+def circle_step(acc: dict[int, int], terms: Mapping[int, int], shift: int, circles: int) -> None:
+    """acc += A^shift * delta^circles * terms on bare {exponent: coeff} maps.
+
+    The state sums accumulate such maps, zero entries and all, and wrap the
+    result in a LaurentPoly once at the end.
+    """
+    if not circles:
+        for e, c in terms.items():
+            e += shift
+            acc[e] = acc.get(e, 0) + c
+        return
+    factor = _delta_power(circles)
+    for e, c in terms.items():
+        e += shift
+        for de, dc in factor:
+            acc[e + de] = acc.get(e + de, 0) + c * dc
+
+
+@cache
+def _delta_power(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((_DELTA**n)._terms.items())
+
+
+def signed_monomial(exp: int, coeff: int) -> tuple[str, str]:
+    """("+" or "-", body) for coeff * A^exp; a unit coefficient prints only
+    when exp == 0 (``A^-2``, ``3A``, ``1``)."""
+    if exp == 0:
+        body = str(abs(coeff))
+    else:
+        mono = "A" if exp == 1 else f"A^{exp}"
+        body = mono if abs(coeff) == 1 else f"{abs(coeff)}{mono}"
+    return ("-" if coeff < 0 else "+"), body
+
+
+def join_signed(parts: list[tuple[str, str]]) -> str:
+    """Join (sign, body) parts as ``a - b + c``; no parts print as ``0``."""
+    if not parts:
+        return "0"
+    sign, body = parts[0]
+    out = body if sign == "+" else "-" + body
+    for sign, body in parts[1:]:
+        out += f" {sign} {body}"
+    return out
 
 
 _ZERO = LaurentPoly()

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import chebyshev
-from .laurent import ZERO, LaurentPoly
+from .laurent import ZERO, LaurentPoly, join_signed, signed_monomial
 from .torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize, det2
 
 
@@ -280,18 +280,13 @@ def format_terms(terms, suffix: str = "", key_str=str) -> str:
     parenthesized; unit coefficients are dropped; the empty/unit key prints as
     a constant term.
     """
-    if not terms:
-        return "0"
     parts = []
     for key, coeff in terms:
         is_unit_key = getattr(key, "is_empty", False) or key == (0, 0)
         name = "" if is_unit_key else key_str(key) + suffix
         items = coeff.terms()
         if len(items) == 1:
-            exp, c = items[0]
-            sign = "-" if c < 0 else "+"
-            mono = "" if exp == 0 else ("A" if exp == 1 else f"A^{exp}")
-            body = str(abs(c)) if not mono else (mono if abs(c) == 1 else f"{abs(c)}{mono}")
+            sign, body = signed_monomial(*items[0])
             if name:
                 body = name if body == "1" else f"{body} {name}"
             parts.append((sign, body))
@@ -300,8 +295,4 @@ def format_terms(terms, suffix: str = "", key_str=str) -> str:
             if name:
                 body = f"{body} {name}"
             parts.append(("+", body))
-    sign, body = parts[0]
-    out = body if sign == "+" else "-" + body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+    return join_signed(parts)

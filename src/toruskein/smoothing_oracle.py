@@ -52,7 +52,7 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, circle_step
 from .oriented import OrientedElement
 from .skein import Basis, SkeinElement
 from .torus_curves import EMPTY, UnorientedClass, Vec2, det2, is_half_plane, split_signed
@@ -177,27 +177,25 @@ def _copy_pair_crossings(
     return [sols[z] for z in sorted(sols)]
 
 
-_OFFSET_DENOMS = ((101, 103), (107, 109), (113, 127), (131, 137), (139, 149))
-
-
 def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) -> Arrangement:
     """Lay out the two families in generic position and index their crossings.
 
     Requires det2(u_vec, v_vec) != 0 (parallel families have no crossings and
     are handled by the product operations directly) and a crossing count
     within the budget.  Copy j of the u family is offset by (j+1)/den_u * xi_u
-    and copy l of the v family by (l+1)/den_v * xi_v; every parameter and
-    point is an integer in units of 1/size, size = |d0|*den_u*den_v.
+    and copy l of the v family by (l+1)/den_v * xi_v, with den_u = n + 1 and
+    den_v = m + 1.  The offsets of one family are distinct fractions in (0, 1),
+    so its copies are disjoint; a point then lies on one copy of each family,
+    and the |d0| crossings of each copy pair are distinct, so no two crossings
+    coincide.  Every parameter and point is an integer in units of 1/size,
+    size = |d0|*den_u*den_v.
     """
     d_full = det2(u_vec, v_vec)
     if d_full == 0:
         raise ValueError("parallel classes have no arrangement; det2 = 0")
     k = abs(d_full)
     if k > budget:
-        raise BudgetExceededError(
-            f"{k} crossings exceed the budget of {budget} (2^{k} states); "
-            f"raise the budget to force the enumeration"
-        )
+        raise BudgetExceededError(f"{k} crossings exceed the budget of {budget}")
     n, pu = split_signed(u_vec)
     m, pv = split_signed(v_vec)
     d0 = det2(pu, pv)
@@ -206,34 +204,24 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
     xi_u = _transversal(pu)
     xi_v = _transversal(pv)
 
-    for den_u, den_v in _OFFSET_DENOMS:
-        scale = den_u * den_v
-        size = abs(d0) * scale
-        crossings: list[tuple[int, int, int, int]] = []
-        points: set[Vec2] = set()
-        degenerate = False
-        for j in range(n):
-            ou = (abs(d0) * (j + 1) * den_v * xi_u[0], abs(d0) * (j + 1) * den_v * xi_u[1])
-            for l in range(m):
-                delta = (
-                    (l + 1) * den_u * xi_v[0] - (j + 1) * den_v * xi_u[0],
-                    (l + 1) * den_u * xi_v[1] - (j + 1) * den_v * xi_u[1],
-                )
-                for t, w in _copy_pair_crossings(pu, pv, xi_v, delta, scale):
-                    pt = ((t * pu[0] + ou[0]) % size, (t * pu[1] + ou[1]) % size)
-                    if pt in points:
-                        degenerate = True
-                        break
-                    points.add(pt)
-                    crossings.append((j, l, t, w))
-                if degenerate:
-                    break
-            if degenerate:
-                break
-        if not degenerate:
-            break
-    else:
-        raise ArrangementError("could not find a non-degenerate offset assignment")
+    den_u, den_v = n + 1, m + 1
+    scale = den_u * den_v
+    size = abs(d0) * scale
+    crossings: list[tuple[int, int, int, int]] = []
+    points: set[Vec2] = set()
+    for j in range(n):
+        ou = (abs(d0) * (j + 1) * den_v * xi_u[0], abs(d0) * (j + 1) * den_v * xi_u[1])
+        for l in range(m):
+            delta = (
+                (l + 1) * den_u * xi_v[0] - (j + 1) * den_v * xi_u[0],
+                (l + 1) * den_u * xi_v[1] - (j + 1) * den_v * xi_u[1],
+            )
+            for t, w in _copy_pair_crossings(pu, pv, xi_v, delta, scale):
+                pt = ((t * pu[0] + ou[0]) % size, (t * pu[1] + ou[1]) % size)
+                if pt in points:
+                    raise ArrangementError(f"two crossings at one point {pt}/{size}")
+                points.add(pt)
+                crossings.append((j, l, t, w))
 
     if len(crossings) != k:
         raise ArrangementError(f"built {len(crossings)} crossings, expected {k}")
@@ -456,13 +444,6 @@ def trace(arr: Arrangement, state: SmoothingState) -> list[TracedComponent]:
 StateSum = dict[Vec2 | None, dict[int, int]]  # residual class -> {exponent: coeff}
 
 
-def _delta_power_items(max_power: int) -> list[tuple[tuple[int, int], ...]]:
-    powers = [LaurentPoly.one()]
-    for _ in range(max_power):
-        powers.append(powers[-1] * LaurentPoly.delta())
-    return [p.terms() for p in powers]
-
-
 def _residual(count: int, direction: Vec2 | None) -> Vec2 | None:
     return None if count == 0 else (count * direction[0], count * direction[1])
 
@@ -471,15 +452,12 @@ def _state_sum(arr: Arrangement, dump: IO[str] | None = None) -> StateSum:
     """Brute force: trace each of the 2^k states, optionally listing them."""
     tracer = _Tracer(arr)
     k = arr.crossing_count
-    deltas = _delta_power_items(k)
     acc: StateSum = {}
     for mask in range(1 << k):
         exponent = k - 2 * bin(mask).count("1")
         circles, ess_count, ess_dir = _classify(tracer.components(mask))
         key = _residual(ess_count, ess_dir)
-        bucket = acc.setdefault(key, {})
-        for exp, coeff in deltas[circles]:  # zeros are dropped by LaurentPoly
-            bucket[exp + exponent] = bucket.get(exp + exponent, 0) + coeff
+        circle_step(acc.setdefault(key, {}), {0: 1}, exponent, circles)
         if dump is not None:
             cls_text = "empty" if key is None else f"({key[0]},{key[1]})"
             dump.write(f"{mask:0{k}b} {exponent} {circles} {cls_text}\n")
@@ -582,12 +560,7 @@ def _contracted_sum(tracer: _Tracer) -> StateSum:
                     count + added,
                     new_dir,
                 )
-                terms = [(e + shift, v) for e, v in poly.items()]
-                for _ in range(circles):
-                    terms = [(e + d, -v) for e, v in terms for d in (2, -2)]
-                bucket = nxt.setdefault(key, {})
-                for e, v in terms:
-                    bucket[e] = bucket.get(e, 0) + v
+                circle_step(nxt.setdefault(key, {}), poly, shift, circles)
         states = nxt
     # No path is open any more, so each state is one residual class.
     return {_residual(count, direction): poly for (_, count, direction), poly in states.items()}
@@ -604,8 +577,10 @@ def unoriented_product(
 
     The result is a standard-basis skein element.  The state sum is
     contracted crossing by crossing; a ``dump`` lists every state, so it
-    takes the brute-force enumeration instead.  ``workers`` is accepted for
-    compatibility and has no effect.  Parallel classes (det 0) take the
+    takes the brute-force enumeration instead.  ``workers`` has no effect:
+    the contraction runs in one process, and the parameter stays only because
+    existing callers (the benchmark scripts among them) still pass it.
+    Parallel classes (det 0) take the
     crossing-free route: their primitives necessarily agree on the torus,
     and the product is the merged multicurve with added multiplicity.
     """

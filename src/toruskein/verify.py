@@ -51,9 +51,7 @@ def canonical_classes(max_coord: int, max_mult: int | None = None) -> list[Unori
     return out
 
 
-def fg_vs_oracle_sweep(
-    max_coord: int = 3, max_det: int = 10, budget: int = 24, workers: int = 1
-) -> SweepResult:
+def fg_vs_oracle_sweep(max_coord: int = 3, max_det: int = 10, budget: int = 24) -> SweepResult:
     """Fast product-to-sum multiplication against the smoothing state sum."""
     result = SweepResult("product-to-sum vs smoothing oracle")
     classes = canonical_classes(max_coord)
@@ -65,7 +63,7 @@ def fg_vs_oracle_sweep(
             fast = SkeinElement.generator(x, Basis.STANDARD) * SkeinElement.generator(
                 y, Basis.STANDARD
             )
-            slow = oracle.unoriented_product(x, y, budget=budget, workers=workers)
+            slow = oracle.unoriented_product(x, y, budget=budget)
             if fast != slow:
                 result.fail(f"{x} * {y}: fast = {fast}; oracle = {slow}")
     return result
@@ -202,14 +200,13 @@ def run_all(
     max_det: int = 10,
     max_mult: int = 3,
     budget: int = 24,
-    workers: int = 1,
 ) -> list[SweepResult]:
     monomial, total_exp, total_wind = oriented_monomial_sweep(max_coord, max_det, budget)
     grading = SweepResult("aggregate Gauss grading over the oriented sweep", cases=monomial.cases)
     if total_exp + 2 * total_wind != 0:
         grading.fail(f"sum of exponents {total_exp} + 2 * windings {total_wind} != 0")
     return [
-        fg_vs_oracle_sweep(max_coord, max_det, budget, workers),
+        fg_vs_oracle_sweep(max_coord, max_det, budget),
         monomial,
         grading,
         psi_homomorphism_sweep(max_coord, max_det, max_mult, budget),

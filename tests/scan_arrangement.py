@@ -12,12 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from toruskein.smoothing_oracle import (
-    _OFFSET_DENOMS,
-    Arrangement,
-    ArrangementError,
-    _transversal,
-)
+from toruskein.smoothing_oracle import Arrangement, ArrangementError, _transversal
 from toruskein.torus_curves import Vec2, det2, split_signed
 
 
@@ -60,30 +55,19 @@ def scan_arrangement(u_vec: Vec2, v_vec: Vec2) -> Arrangement:
     xi_u = _transversal(pu)
     xi_v = _transversal(pv)
 
-    for den_u, den_v in _OFFSET_DENOMS:
-        eps_u, eps_v = Fraction(1, den_u), Fraction(1, den_v)
-        crossings: list[tuple[int, int, Fraction, Fraction]] = []
-        points: set[tuple[Fraction, Fraction]] = set()
-        degenerate = False
-        for j in range(n):
-            ou = ((j + 1) * eps_u * xi_u[0], (j + 1) * eps_u * xi_u[1])
-            for l in range(m):
-                ov = ((l + 1) * eps_v * xi_v[0], (l + 1) * eps_v * xi_v[1])
-                for t, w in copy_pair_crossings(pu, pv, ou, ov):
-                    pt = ((t * pu[0] + ou[0]) % 1, (t * pu[1] + ou[1]) % 1)
-                    if pt in points:
-                        degenerate = True
-                        break
-                    points.add(pt)
-                    crossings.append((j, l, t, w))
-                if degenerate:
-                    break
-            if degenerate:
-                break
-        if not degenerate:
-            break
-    else:
-        raise ArrangementError("could not find a non-degenerate offset assignment")
+    eps_u, eps_v = Fraction(1, n + 1), Fraction(1, m + 1)
+    crossings: list[tuple[int, int, Fraction, Fraction]] = []
+    points: set[tuple[Fraction, Fraction]] = set()
+    for j in range(n):
+        ou = ((j + 1) * eps_u * xi_u[0], (j + 1) * eps_u * xi_u[1])
+        for l in range(m):
+            ov = ((l + 1) * eps_v * xi_v[0], (l + 1) * eps_v * xi_v[1])
+            for t, w in copy_pair_crossings(pu, pv, ou, ov):
+                pt = ((t * pu[0] + ou[0]) % 1, (t * pu[1] + ou[1]) % 1)
+                if pt in points:
+                    raise ArrangementError(f"two crossings at one point {pt}")
+                points.add(pt)
+                crossings.append((j, l, t, w))
 
     if len(crossings) != k:
         raise ArrangementError(f"built {len(crossings)} crossings, expected {k}")

@@ -73,15 +73,6 @@ class TestOracleMul:
         assert code == 0
         assert len(dump.read_text().strip().splitlines()) == 4
 
-    def test_dump_states_notes_that_workers_are_not_used(self, capsys, tmp_path):
-        dump = tmp_path / "states.txt"
-        argv = ["oracle-mul", "--dump-states", str(dump), "(1,1)", "(1,-1)"]
-        code, out, err = invoke(capsys, *argv)
-        assert (code, err) == (0, "")
-        code_w, out_w, err_w = invoke(capsys, *argv[:1], "--workers", "4", *argv[1:])
-        assert code_w == 0 and out_w == out
-        assert err_w == "note: --dump-states enumerates in one process\n"
-
     @pytest.mark.parametrize(
         "x, y, name",
         [
@@ -99,9 +90,9 @@ class TestOracleMul:
         assert out == expected.with_suffix(".out").read_text()
         assert dump.read_bytes() == expected.with_suffix(".txt").read_bytes()
 
-    def test_workers(self, capsys):
-        code, out, _ = invoke(capsys, "oracle-mul", "--workers", "2", "(2,1)", "(1,-1)")
-        assert code == 0 and out.strip()
+    def test_one_hundred_fifty_copies_print_the_fast_product(self, capsys):
+        code, out, _ = invoke(capsys, "oracle-mul", "--budget", "400", "(150,0)", "(0,1)")
+        assert (code, out) == invoke(capsys, "mul", "(150,0)", "(0,1)")[:2]
 
     def test_budget_exceeded_is_user_error(self, capsys):
         code, _, err = invoke(capsys, "oracle-mul", "--budget", "3", "(3,0)", "(0,3)")
@@ -189,13 +180,6 @@ class TestVerify:
         assert code == 0
         report = json.loads(out)
         assert all(r["failures"] == [] for r in report)
-
-    def test_worker_count_does_not_change_the_report(self, capsys):
-        args = ["verify", "--max-coord", "1", "--max-det", "2", "--max-mult", "2"]
-        code_a, out_a, _ = invoke(capsys, *args)
-        code_b, out_b, _ = invoke(capsys, *args, "--workers", "2")
-        assert code_a == code_b == 0
-        assert out_a == out_b
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         broken = verify.SweepResult("stub", cases=1, failures=["counterexample"])

@@ -118,7 +118,6 @@ VERBS = {
     "oracle-mul": argv(
         "oracle-mul",
         budget,
-        flag("--workers", number),
         flag("--dump-states", st.just("DUMP")),
         vec,
         vec,
@@ -137,7 +136,6 @@ VERBS = {
         st.integers(-1, 3).map(lambda n: ["--max-det", str(n)]),
         flag("--max-mult", st.integers(-1, 3).map(str)),
         budget,
-        flag("--workers", number),
     ),
     "any": st.lists(
         st.one_of(st.sampled_from(["-", "--json", "--budget", "-h"]), st.text(max_size=6)),

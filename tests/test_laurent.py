@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from toruskein.laurent import A, DELTA, ONE, ZERO, LaurentPoly, ParseError
+from toruskein.laurent import A, DELTA, ONE, ZERO, LaurentPoly, ParseError, circle_step
 
 
 def mono(c, e):
@@ -142,3 +142,40 @@ def test_non_dict_mappings_and_pairs_construct_the_same_poly():
     assert LaurentPoly(types.MappingProxyType({2: 1, -1: 3})) == expected
     assert LaurentPoly([(2, 1), (-1, 3)]) == expected
     assert LaurentPoly(types.MappingProxyType({2: 1})) == LaurentPoly({2: 1})
+
+
+class TestStoredOrder:
+    """Term maps are stored in fill order; every observed order is ascending."""
+
+    def test_unsorted_fills_are_observed_in_ascending_order(self):
+        expected = LaurentPoly({-3: 2, 0: 7, 1: -5, 4: 1})
+        polys = [
+            LaurentPoly([(4, 1), (1, -5), (0, 7), (-3, 2)]),
+            LaurentPoly({-4: 1, -1: -5, 0: 7, 3: 2}).mirror(),
+            LaurentPoly({2: 1, -1: -5, -2: 7, -5: 2}).shifted(2),
+            LaurentPoly({3: 1, 0: -5, -1: 7, -4: 2}) * A,
+        ]
+        for poly in polys:
+            assert list(poly._terms) != sorted(poly._terms)  # really stored unsorted
+            assert poly == expected
+            assert poly.terms() == ((-3, 2), (0, 7), (1, -5), (4, 1))
+            assert list(poly) == list(expected.terms())
+            assert str(poly) == "2A^-3 + 7 - 5A + A^4"
+            assert list(poly.to_json().items()) == [("-3", 2), ("0", 7), ("1", -5), ("4", 1)]
+            assert repr(poly) == "LaurentPoly({-3: 2, 0: 7, 1: -5, 4: 1})"
+            assert hash(poly) == hash(expected)
+
+    def test_sole_exponent(self):
+        assert mono(-3, 5).sole_exponent() == 5
+        with pytest.raises(ValueError):
+            DELTA.sole_exponent()
+
+
+polys = st.dictionaries(st.integers(-9, 9), st.integers(-99, 99), max_size=6).map(LaurentPoly)
+
+
+@given(polys, polys, st.integers(-6, 6), st.integers(0, 5))
+def test_circle_step_multiplies_by_a_shift_and_delta_powers(acc, poly, shift, circles):
+    bare = dict(acc.terms())
+    circle_step(bare, dict(poly.terms()), shift, circles)
+    assert LaurentPoly(bare) == acc + poly.shifted(shift) * DELTA**circles

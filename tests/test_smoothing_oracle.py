@@ -94,7 +94,7 @@ class TestBuildArrangement:
             build_arrangement((1, 1), (2, 2))
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match="^25 crossings exceed the budget of 24$"):
             build_arrangement((5, 0), (0, 5), budget=24)
         assert build_arrangement((5, 0), (0, 5), budget=25).crossing_count == 25
 
@@ -212,6 +212,11 @@ class TestContraction:
     def test_twenty_six_crossings(self):
         x, y = cls((5, 1)), cls((1, -5))
         assert unoriented_product(x, y, budget=26) == std((5, 1)) * std((1, -5))
+
+    @pytest.mark.parametrize("u, v", [((150, 0), (0, 1)), ((1, 0), (0, 150))])
+    def test_one_hundred_fifty_parallel_copies(self, u, v):
+        # More copies than any fixed offset denominator could keep apart.
+        assert unoriented_product(cls(u), cls(v), budget=150) == std(u) * std(v)
 
 
 class TestUnorientedProduct:
