@@ -21,12 +21,9 @@ from .skein import Basis, BasisMismatchError, SkeinElement, chebyshev_of
 from .smoothing_oracle import (
     Arrangement,
     BudgetExceededError,
-    SmoothingState,
-    TracedComponent,
     build_arrangement,
     oriented_product,
     psi_oracle,
-    trace,
     unoriented_product,
 )
 from .torus_curves import EMPTY, UnorientedClass, canonicalize, det2, split_signed
@@ -46,8 +43,6 @@ __all__ = [
     "ParseError",
     "PDCode",
     "SkeinElement",
-    "SmoothingState",
-    "TracedComponent",
     "UnorientedClass",
     "build_arrangement",
     "canonicalize",
@@ -64,6 +59,5 @@ __all__ = [
     "psi_inverse",
     "psi_oracle",
     "split_signed",
-    "trace",
     "unoriented_product",
 ]

@@ -16,8 +16,8 @@ clasp of two circles comes out to A^6 + A^2 + A^-2 + A^-6 exactly.
 The bracket is the sum of A^(#A - #B) * delta^circles over all 2^k states.
 ``kauffman_bracket`` evaluates that sum by frontier contraction, resolving
 one crossing at a time and merging partial states that leave the same open
-labels matched the same way; ``kauffman_bracket_recursive`` re-derives it by
-recursive splicing as an independent cross-check.
+labels matched the same way.  The test suite keeps two independent
+references: the direct 2^k sum and a recursive splicing evaluator.
 
 Tuples are stored canonically up to rotation by two (the same unoriented
 crossing re-read from the outgoing under-strand), which makes the over/under
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping
 
 from .laurent import LaurentPoly, circle_step
 from .smoothing_oracle import BudgetExceededError, DEFAULT_BUDGET
@@ -94,19 +93,6 @@ class PDCode:
             pos = m.end()
         return cls(tuple(crossings), loops)
 
-    def to_json(self) -> dict:
-        data: dict = {"crossings": [list(t) for t in self.crossings]}
-        if self.free_loops:
-            data["free_loops"] = self.free_loops
-        return data
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "PDCode":
-        return cls(
-            tuple(tuple(int(e) for e in t) for t in data["crossings"]),
-            int(data.get("free_loops", 0)),
-        )
-
 
 def mirror(pd: PDCode) -> PDCode:
     """Swap over and under at every crossing."""
@@ -118,29 +104,6 @@ def disjoint_union(first: PDCode, second: PDCode) -> PDCode:
     offset = max(first.edges(), default=0)
     shifted = tuple(tuple(e + offset for e in t) for t in second.crossings)
     return PDCode(first.crossings + shifted, first.free_loops + second.free_loops)
-
-
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = parent.setdefault(x, x)
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> bool:
-        """Join two classes; returns True when they were already joined
-        (a circle has been closed)."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return True
-        self.parent[rx] = ry
-        return False
 
 
 def _crossing_order(crossings: tuple[Crossing, ...]) -> list[Crossing]:
@@ -205,35 +168,6 @@ def kauffman_bracket(pd: PDCode, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
         states = nxt
     # No label is open any more, so the one remaining key is the empty matching.
     return LaurentPoly(states[()]) * LaurentPoly.delta() ** pd.free_loops
-
-
-def kauffman_bracket_recursive(pd: PDCode, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
-    """Same value by recursive crossing resolution; an independent code path
-    used to cross-check the state sum."""
-    if pd.crossing_count > budget:
-        raise BudgetExceededError(
-            f"{pd.crossing_count} crossings exceed the budget of {budget}"
-        )
-
-    def splice(crossings: tuple[Crossing, ...], pairs, loops: int) -> tuple[tuple[Crossing, ...], int]:
-        uf = _UnionFind()
-        for x, y in pairs:
-            if uf.union(x, y):
-                loops += 1
-        renamed = tuple(
-            tuple(uf.find(e) for e in t) for t in crossings
-        )
-        return renamed, loops
-
-    def go(crossings: tuple[Crossing, ...], loops: int) -> LaurentPoly:
-        if not crossings:
-            return LaurentPoly.delta() ** loops
-        (a, b, c, d), rest = crossings[0], crossings[1:]
-        rest_a, loops_a = splice(rest, ((a, d), (b, c)), loops)
-        rest_b, loops_b = splice(rest, ((a, b), (c, d)), loops)
-        return go(rest_a, loops_a).shifted(1) + go(rest_b, loops_b).shifted(-1)
-
-    return go(pd.crossings, pd.free_loops)
 
 
 def add_reidemeister_ii(pd: PDCode, over_edge: int, under_edge: int) -> PDCode:

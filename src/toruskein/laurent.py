@@ -142,16 +142,6 @@ class LaurentPoly:
         """(exponent, coefficient) pairs in ascending exponent order."""
         return tuple(sorted(self._terms.items()))
 
-    def sole_exponent(self) -> int:
-        """Exponent of a single-term polynomial; raises otherwise."""
-        if len(self._terms) != 1:
-            raise ValueError(f"not a monomial: {self}")
-        return next(iter(self._terms))
-
-    def evaluate_at_one(self) -> int:
-        """Value at A = 1, i.e. the sum of all coefficients."""
-        return sum(self._terms.values())
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -163,7 +153,13 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        # A constant equals its int (see __eq__), so it must hash like one.
+        terms = self._terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and 0 in terms:
+            return hash(terms[0])
+        return hash(frozenset(terms.items()))
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
         return iter(self.terms())

@@ -22,11 +22,15 @@ on their open paths and closed components are merged (frontier contraction).
 Listing every state (``--dump-states``) takes the brute-force enumeration.
 
 Each crossing has four ports: the over-strand enters at ``u_in`` and leaves at
-``u_out``, the under-strand at ``v_in``/``v_out``.  Arcs between consecutive
-crossings along a strand carry their exact displacement vectors; the homology
-class of a traced component is the signed sum of the arc displacements it
-traverses, and its turning number is accumulated in quarter turns at the
-smoothed corners (arcs are geodesic segments and contribute no turning).
+``u_out``, the under-strand at ``v_in``/``v_out``.  The arrangement is one
+port table: every port names the port at the other end of its arc (the arc
+to the next crossing along its strand, or from the previous one) and the
+arc's exact displacement leaving it.  Both the contraction and every walk
+read that table.  The homology class of a traced component is the signed
+sum of the arc displacements it traverses, and its turning number is
+accumulated in quarter turns at the smoothed corners (arcs are geodesic
+segments and contribute no turning); the pairings and turns at a corner
+depend only on the sign of d0.
 Essential components must have zero turning and trivial circles turning +-1;
 violations raise ArrangementError, never a user error.
 
@@ -72,56 +76,20 @@ class ArrangementError(RuntimeError):
 
 
 @dataclass(frozen=True, slots=True)
-class SmoothingState:
-    """One A/B choice per crossing; bit i set means crossing i is B-resolved."""
-
-    mask: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.mask < (1 << self.length):
-            raise ValueError("state mask out of range")
-
-    def is_b(self, crossing: int) -> bool:
-        return bool((self.mask >> crossing) & 1)
-
-    def __str__(self) -> str:
-        return format(self.mask, f"0{self.length}b")
-
-
-@dataclass(frozen=True, slots=True)
-class TracedComponent:
-    """One closed component of a resolved state."""
-
-    homology: Vec2
-    winding: int
-    arc_count: int
-
-    @property
-    def is_trivial_circle(self) -> bool:
-        return self.homology == (0, 0)
-
-
-@dataclass(frozen=True, slots=True)
 class Arrangement:
-    """Generic-position superposition of two transverse multicurve families."""
+    """Generic-position superposition of two transverse multicurve families.
 
-    u_vec: Vec2
-    v_vec: Vec2
-    prim_u: Vec2
-    prim_v: Vec2
-    copies_u: int
-    copies_v: int
-    d0: int  # det2(prim_u, prim_v), nonzero
+    Port 4*i + role belongs to crossing i.  ``arc_other[p]`` is the port at
+    the other end of p's arc and ``disp[p]`` the arc's displacement leaving
+    p, in units of 1/denom; the two ends of an arc carry opposite
+    displacements.
+    """
+
+    d0: int  # det2 of the two primitive directions, nonzero
     crossing_count: int
-    next_u: tuple[int, ...]  # successor crossing along the over-family
-    next_v: tuple[int, ...]
-    prev_u: tuple[int, ...]
-    prev_v: tuple[int, ...]
-    disp_u: tuple[tuple[int, int], ...]  # arc displacement numerators / denom
-    disp_v: tuple[tuple[int, int], ...]
+    arc_other: tuple[int, ...]
+    disp: tuple[Vec2, ...]
     denom: int
-    copy_of: tuple[tuple[int, int], ...]  # (u copy, v copy) per crossing
 
 
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -226,16 +194,11 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
     if len(crossings) != k:
         raise ArrangementError(f"built {len(crossings)} crossings, expected {k}")
 
-    next_u = [-1] * k
-    next_v = [-1] * k
-    prev_u = [-1] * k
-    prev_v = [-1] * k
-    disp_u: list[Vec2] = [(0, 0)] * k  # in units of 1/size
-    disp_v: list[Vec2] = [(0, 0)] * k
-
-    for family, copies, prim, nxt, prv, disp, copy_idx, par_idx in (
-        ("u", n, pu, next_u, prev_u, disp_u, 0, 2),
-        ("v", m, pv, next_v, prev_v, disp_v, 1, 3),
+    arc_other = [0] * (4 * k)
+    disp: list[Vec2] = [(0, 0)] * (4 * k)  # in units of 1/size until scaled down
+    for family, copies, prim, copy_idx, par_idx, out_role, in_role in (
+        ("u", n, pu, 0, 2, U_OUT, U_IN),
+        ("v", m, pv, 1, 3, V_OUT, V_IN),
     ):
         by_copy: list[list[tuple[int, int]]] = [[] for _ in range(copies)]
         for ci, cr in enumerate(crossings):
@@ -248,10 +211,11 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
             for pos, (t, ci) in enumerate(on_copy):
                 t_next, ci_next = on_copy[(pos + 1) % len(on_copy)]
                 gap = (t_next - t) % size or size  # one crossing on this copy: full loop
-                nxt[ci] = ci_next
-                prv[ci_next] = ci
-                disp[ci] = (gap * prim[0], gap * prim[1])
-                total = (total[0] + disp[ci][0], total[1] + disp[ci][1])
+                p, q = 4 * ci + out_role, 4 * ci_next + in_role
+                arc_other[p], arc_other[q] = q, p
+                disp[p] = (gap * prim[0], gap * prim[1])
+                disp[q] = (-gap * prim[0], -gap * prim[1])
+                total = (total[0] + disp[p][0], total[1] + disp[p][1])
             if total != (size * prim[0], size * prim[1]):
                 raise ArrangementError(
                     f"arc displacements along {family} copy {copy} sum to {total}/{size}, "
@@ -259,122 +223,88 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
                 )
 
     # The least common denominator of all displacements.
-    unit = math.gcd(size, *(c for pair in disp_u + disp_v for c in pair))
-
-    def scale_down(pairs: list[Vec2]) -> tuple[Vec2, ...]:
-        return tuple((dx // unit, dy // unit) for dx, dy in pairs)
-
+    unit = math.gcd(size, *(c for pair in disp for c in pair))
     return Arrangement(
-        u_vec=u_vec,
-        v_vec=v_vec,
-        prim_u=pu,
-        prim_v=pv,
-        copies_u=n,
-        copies_v=m,
         d0=d0,
         crossing_count=k,
-        next_u=tuple(next_u),
-        next_v=tuple(next_v),
-        prev_u=tuple(prev_u),
-        prev_v=tuple(prev_v),
-        disp_u=scale_down(disp_u),
-        disp_v=scale_down(disp_v),
+        arc_other=tuple(arc_other),
+        disp=tuple((dx // unit, dy // unit) for dx, dy in disp),
         denom=size // unit,
-        copy_of=tuple((cr[0], cr[1]) for cr in crossings),
     )
 
 
-class _Tracer:
-    """Flattened port tables for walking resolved states of an arrangement."""
+def _corners(positive: bool) -> tuple[tuple[int, ...], tuple[int, ...], dict[tuple[int, int], int]]:
+    """The A- and B-pairings of a crossing's ports, and the quarter turn
+    (+1 left, -1 right) taken at each corner, for d0 > 0 or d0 < 0.
 
-    def __init__(self, arr: Arrangement):
-        k = arr.crossing_count
-        self.k = k
-        self.denom = arr.denom
-        ports = 4 * k
-        arc_other = [0] * ports
-        disp_x = [0] * ports
-        disp_y = [0] * ports
-        for i in range(k):
-            j = arr.next_u[i]
-            arc_other[4 * i + U_OUT] = 4 * j + U_IN
-            arc_other[4 * j + U_IN] = 4 * i + U_OUT
-            disp_x[4 * i + U_OUT], disp_y[4 * i + U_OUT] = arr.disp_u[i]
-            disp_x[4 * j + U_IN], disp_y[4 * j + U_IN] = -arr.disp_u[i][0], -arr.disp_u[i][1]
-            j = arr.next_v[i]
-            arc_other[4 * i + V_OUT] = 4 * j + V_IN
-            arc_other[4 * j + V_IN] = 4 * i + V_OUT
-            disp_x[4 * i + V_OUT], disp_y[4 * i + V_OUT] = arr.disp_v[i]
-            disp_x[4 * j + V_IN], disp_y[4 * j + V_IN] = -arr.disp_v[i][0], -arr.disp_v[i][1]
-        self.arc_other = arc_other
-        self.disp_x = disp_x
-        self.disp_y = disp_y
+    Every crossing of the flat arrangement shares one local frame, so these
+    depend on nothing but the sign of d0.
+    """
+    if positive:
+        pair_a = (V_IN, V_OUT, U_IN, U_OUT)  # u_in<->v_in, u_out<->v_out
+        arrive = (0, 2, 1, 3)  # quarter-turn headings E=0, N=1, W=2, S=3
+        depart = (2, 0, 3, 1)
+    else:
+        pair_a = (V_OUT, V_IN, U_OUT, U_IN)  # u_in<->v_out, u_out<->v_in
+        arrive = (0, 2, 3, 1)
+        depart = (2, 0, 1, 3)
+    # The B-pairing is the complementary matching of over- to under-ports:
+    # flip the in/out bit of every A-partner.
+    pair_b = tuple(pair_a[p] ^ 1 for p in range(4))
+    turn = {}
+    for q in range(4):
+        for r in range(4):
+            if (q < 2) == (r < 2):
+                continue  # smoothings only connect over-ports to under-ports
+            diff = (depart[r] - arrive[q]) % 4
+            if diff == 1:
+                turn[(q, r)] = 1
+            elif diff == 3:
+                turn[(q, r)] = -1
+            else:
+                raise ArrangementError("straight-through corner in turn table")
+    return pair_a, pair_b, turn
 
-        if arr.d0 > 0:
-            pair_a = (V_IN, V_OUT, U_IN, U_OUT)  # u_in<->v_in, u_out<->v_out
-            arrive = (0, 2, 1, 3)  # quarter-turn headings E=0, N=1, W=2, S=3
-            depart = (2, 0, 3, 1)
-        else:
-            pair_a = (V_OUT, V_IN, U_OUT, U_IN)  # u_in<->v_out, u_out<->v_in
-            arrive = (0, 2, 3, 1)
-            depart = (2, 0, 1, 3)
-        # The B-pairing is the complementary matching of over- to under-ports:
-        # flip the in/out bit of every A-partner.
-        pair_b = tuple(pair_a[p] ^ 1 for p in range(4))
-        self.pair_a = pair_a
-        self.pair_b = pair_b
-        turn = {}
-        for q in range(4):
-            for r in range(4):
-                if (q < 2) == (r < 2):
-                    continue  # smoothings only connect over-ports to under-ports
-                diff = (depart[r] - arrive[q]) % 4
-                if diff == 1:
-                    turn[(q, r)] = 1
-                elif diff == 3:
-                    turn[(q, r)] = -1
-                else:
-                    raise ArrangementError("straight-through corner in turn table")
-        self.turn = turn
-        self._seen = [-1] * ports
-        self._stamp = 0
 
-    def components(self, mask: int, forward: bool = False) -> list[tuple[int, int, int, int]]:
-        """Walk one resolved state.
+# (A-pairing, B-pairing, turn table), keyed by d0 > 0.
+_CORNERS = {positive: _corners(positive) for positive in (False, True)}
 
-        Returns (homology_x, homology_y, winding, arc_count) per component,
-        homology in unscaled integer units.  With ``forward`` the walks start
-        at over-strand out-ports, which under the orientation-compatible
-        pairing traverses every arc in the direction of its strand (every
-        component alternates families, so it contains such a port).
-        """
-        arc_other, disp_x, disp_y = self.arc_other, self.disp_x, self.disp_y
-        pair_a, pair_b, turn, denom = self.pair_a, self.pair_b, self.turn, self.denom
-        seen = self._seen
-        self._stamp += 1
-        stamp = self._stamp
-        out = []
-        starts = range(U_OUT, 4 * self.k, 4) if forward else range(4 * self.k)
-        for start in starts:
-            if seen[start] == stamp:
-                continue
-            p = start
-            hx = hy = turns = arcs = 0
-            while True:
-                seen[p] = stamp
-                hx += disp_x[p]
-                hy += disp_y[p]
-                arcs += 1
-                q = arc_other[p]
-                seen[q] = stamp
-                qt = q & 3
-                rt = (pair_b if (mask >> (q >> 2)) & 1 else pair_a)[qt]
-                turns += turn[(qt, rt)]
-                p = (q & ~3) | rt
-                if p == start:
-                    break
-            out.append((*_whole(hx, hy, turns, denom), arcs))
-        return out
+
+def _components(arr: Arrangement, mask: int, forward: bool = False) -> list[tuple[int, int, int, int]]:
+    """Walk one resolved state; bit i of ``mask`` B-resolves crossing i.
+
+    Returns (homology_x, homology_y, winding, arc_count) per component,
+    homology in unscaled integer units.  With ``forward`` the walks start at
+    over-strand out-ports, which under the orientation-compatible pairing
+    traverses every arc in the direction of its strand (every component
+    alternates families, so it contains such a port).
+    """
+    arc_other, disp, denom = arr.arc_other, arr.disp, arr.denom
+    pair_a, pair_b, turn = _CORNERS[arr.d0 > 0]
+    ports = 4 * arr.crossing_count
+    seen = [False] * ports
+    out = []
+    for start in range(U_OUT, ports, 4) if forward else range(ports):
+        if seen[start]:
+            continue
+        p = start
+        hx = hy = turns = arcs = 0
+        while True:
+            seen[p] = True
+            dx, dy = disp[p]
+            hx += dx
+            hy += dy
+            arcs += 1
+            q = arc_other[p]
+            seen[q] = True
+            qt = q & 3
+            rt = (pair_b if (mask >> (q >> 2)) & 1 else pair_a)[qt]
+            turns += turn[(qt, rt)]
+            p = (q & ~3) | rt
+            if p == start:
+                break
+        out.append((*_whole(hx, hy, turns, denom), arcs))
+    return out
 
 
 def _whole(hx: int, hy: int, turns: int, denom: int) -> tuple[int, int, int]:
@@ -427,16 +357,6 @@ def _classify(
     return circles, count, direction
 
 
-def trace(arr: Arrangement, state: SmoothingState) -> list[TracedComponent]:
-    """Resolve one state and report its closed components, checked by
-    ``_classify`` (the tracer itself checks that homology is integral)."""
-    if state.length != arr.crossing_count:
-        raise ValueError("state length does not match the arrangement")
-    comps = _Tracer(arr).components(state.mask)
-    _classify(comps)
-    return [TracedComponent((hx, hy), winding, arcs) for hx, hy, winding, arcs in comps]
-
-
 # ----------------------------------------------------------------------
 # Unoriented oracle product
 # ----------------------------------------------------------------------
@@ -450,12 +370,11 @@ def _residual(count: int, direction: Vec2 | None) -> Vec2 | None:
 
 def _state_sum(arr: Arrangement, dump: IO[str] | None = None) -> StateSum:
     """Brute force: trace each of the 2^k states, optionally listing them."""
-    tracer = _Tracer(arr)
     k = arr.crossing_count
     acc: StateSum = {}
     for mask in range(1 << k):
         exponent = k - 2 * bin(mask).count("1")
-        circles, ess_count, ess_dir = _classify(tracer.components(mask))
+        circles, ess_count, ess_dir = _classify(_components(arr, mask))
         key = _residual(ess_count, ess_dir)
         circle_step(acc.setdefault(key, {}), {0: 1}, exponent, circles)
         if dump is not None:
@@ -464,14 +383,14 @@ def _state_sum(arr: Arrangement, dump: IO[str] | None = None) -> StateSum:
     return acc
 
 
-def _crossing_order(tracer: _Tracer) -> list[int]:
+def _crossing_order(arr: Arrangement) -> list[int]:
     """Greedy elimination order: next, the crossing leaving the fewest open ports.
 
     A port is open while its crossing is unresolved and the crossing at the
     other end of its arc is resolved.
     """
-    arc_other = tracer.arc_other
-    todo = set(range(tracer.k))
+    arc_other = arr.arc_other
+    todo = set(range(arr.crossing_count))
     open_ports: set[int] = set()
     order = []
 
@@ -493,7 +412,7 @@ def _crossing_order(tracer: _Tracer) -> list[int]:
     return order
 
 
-def _contracted_sum(tracer: _Tracer) -> StateSum:
+def _contracted_sum(arr: Arrangement) -> StateSum:
     """The state sum, resolving one crossing at a time (frontier contraction).
 
     A partial state is keyed by its open paths, each (end port, end port,
@@ -504,24 +423,24 @@ def _contracted_sum(tracer: _Tracer) -> StateSum:
     the brute force's checks (``_whole``, then ``_classify``).  Each trivial
     circle multiplies the coefficient by delta = -A^2 - A^-2 as it closes.
     """
-    arc_other, disp_x, disp_y = tracer.arc_other, tracer.disp_x, tracer.disp_y
-    turn, denom = tracer.turn, tracer.denom
+    arc_other, disp, denom = arr.arc_other, arr.disp, arr.denom
+    pair_a, pair_b, turn = _CORNERS[arr.d0 > 0]
     states: dict[tuple, dict[int, int]] = {((), 0, None): {0: 1}}
-    for c in _crossing_order(tracer):
+    for c in _crossing_order(arr):
         ports = range(4 * c, 4 * c + 4)
         # Arcs from this crossing to an unresolved one (or to itself) enter
         # the partial state now; ``fresh`` holds each arc from both ends.
         fresh = {}
         for p in ports:
             q = arc_other[p]
-            fresh[p] = (q, disp_x[p], disp_y[p], 0)
-            fresh[q] = (p, disp_x[q], disp_y[q], 0)
+            fresh[p] = (q, *disp[p], 0)
+            fresh[q] = (p, *disp[q], 0)
         choices = [
             (
                 shift,
                 [(4 * c + a, 4 * c + pair[a], turn[(a, pair[a])]) for a in (U_IN, U_OUT)],
             )
-            for pair, shift in ((tracer.pair_a, 1), (tracer.pair_b, -1))
+            for pair, shift in ((pair_a, 1), (pair_b, -1))
         ]
         nxt: dict[tuple, dict[int, int]] = {}
         for (paths, count, direction), poly in states.items():
@@ -597,7 +516,7 @@ def unoriented_product(
         return SkeinElement.generator(UnorientedClass(merged), Basis.STANDARD)
 
     arr = build_arrangement(x.vec, y.vec, budget=budget)
-    acc = _contracted_sum(_Tracer(arr)) if dump is None else _state_sum(arr, dump)
+    acc = _contracted_sum(arr) if dump is None else _state_sum(arr, dump)
     terms = [
         (EMPTY if key is None else UnorientedClass(key), LaurentPoly(bucket))
         for key, bucket in acc.items()
@@ -673,7 +592,7 @@ def oriented_product_with_ledger(
     # The orientation-compatible pairing is the A-smoothing exactly when
     # d0 < 0, so each crossing contributes A^(-sign(d0)).
     oriented_mask = 0 if arr.d0 < 0 else (1 << k) - 1
-    components = _Tracer(arr).components(oriented_mask, forward=True)
+    components = _components(arr, oriented_mask, forward=True)
     _circles, count, direction = _classify(components, oriented=True)
     total = (count * direction[0], count * direction[1])
     if total != (u[0] + v[0], u[1] + v[1]):

@@ -108,11 +108,6 @@ def canonicalize(v: Vec2) -> tuple[UnorientedClass, bool]:
     return UnorientedClass((-v[0], -v[1])), True
 
 
-def curve_class(v: Vec2) -> UnorientedClass:
-    """Canonical class of a vector, discarding the orientation flag."""
-    return canonicalize(v)[0]
-
-
 def vec_from_json(data: object) -> Vec2:
     """Parse the JSON form [a, b]."""
     if not (isinstance(data, (list, tuple)) and len(data) == 2):

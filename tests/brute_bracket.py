@@ -1,15 +1,41 @@
-"""Reference bracket: the direct sum over all 2^k states.
+"""Reference brackets: the direct sum over all 2^k states and recursive splicing.
 
-This is the original evaluator that ``kauffman_bracket`` replaced with a
-frontier contraction.  Every state gets a fresh union-find over the edge
-labels; each union of two already joined labels closes a circle.  Tests
-compare the two on random diagrams.
+``brute_bracket`` is the original evaluator that ``kauffman_bracket``
+replaced with a frontier contraction.  Every state gets a fresh union-find
+over the edge labels; each union of two already joined labels closes a
+circle.  ``kauffman_bracket_recursive`` resolves the first crossing both ways
+and splices the rest, an independent second path.  Tests compare all three
+on random diagrams.
 """
 
 from __future__ import annotations
 
-from toruskein.bracket_planar import PDCode, _UnionFind
+from toruskein.bracket_planar import Crossing, PDCode
 from toruskein.laurent import LaurentPoly
+from toruskein.smoothing_oracle import DEFAULT_BUDGET, BudgetExceededError
+
+
+class _UnionFind:
+    def __init__(self) -> None:
+        self.parent: dict[int, int] = {}
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        root = parent.setdefault(x, x)
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, x: int, y: int) -> bool:
+        """Join two classes; returns True when they were already joined
+        (a circle has been closed)."""
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return True
+        self.parent[rx] = ry
+        return False
 
 
 def brute_bracket(pd: PDCode) -> LaurentPoly:
@@ -43,3 +69,32 @@ def brute_bracket(pd: PDCode) -> LaurentPoly:
             else:
                 del acc[e + exponent]
     return LaurentPoly(acc)
+
+
+def kauffman_bracket_recursive(pd: PDCode, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
+    """Same value by recursive crossing resolution; an independent code path
+    used to cross-check the state sum."""
+    if pd.crossing_count > budget:
+        raise BudgetExceededError(
+            f"{pd.crossing_count} crossings exceed the budget of {budget}"
+        )
+
+    def splice(crossings: tuple[Crossing, ...], pairs, loops: int) -> tuple[tuple[Crossing, ...], int]:
+        uf = _UnionFind()
+        for x, y in pairs:
+            if uf.union(x, y):
+                loops += 1
+        renamed = tuple(
+            tuple(uf.find(e) for e in t) for t in crossings
+        )
+        return renamed, loops
+
+    def go(crossings: tuple[Crossing, ...], loops: int) -> LaurentPoly:
+        if not crossings:
+            return LaurentPoly.delta() ** loops
+        (a, b, c, d), rest = crossings[0], crossings[1:]
+        rest_a, loops_a = splice(rest, ((a, d), (b, c)), loops)
+        rest_b, loops_b = splice(rest, ((a, b), (c, d)), loops)
+        return go(rest_a, loops_a).shifted(1) + go(rest_b, loops_b).shifted(-1)
+
+    return go(pd.crossings, pd.free_loops)

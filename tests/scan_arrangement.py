@@ -4,7 +4,9 @@ This is the original construction that ``build_arrangement`` replaced with
 integer arithmetic.  It solves every copy pair's line equations by scanning
 the integer translates that can reach the unit parameter square, in
 ``(zx, zy)`` order, so its crossing indices define the order the integer
-builder must reproduce.  Tests compare the two field for field.
+builder must reproduce.  It links the crossings along each copy by successor
+and only at the end turns successors and displacements into the port table.
+Tests compare the two field for field.
 """
 
 from __future__ import annotations
@@ -12,7 +14,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from toruskein.smoothing_oracle import Arrangement, ArrangementError, _transversal
+from toruskein.smoothing_oracle import (
+    U_IN,
+    U_OUT,
+    V_IN,
+    V_OUT,
+    Arrangement,
+    ArrangementError,
+    _transversal,
+)
 from toruskein.torus_curves import Vec2, det2, split_signed
 
 
@@ -74,14 +84,12 @@ def scan_arrangement(u_vec: Vec2, v_vec: Vec2) -> Arrangement:
 
     next_u = [-1] * k
     next_v = [-1] * k
-    prev_u = [-1] * k
-    prev_v = [-1] * k
     disp_u: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))] * k
     disp_v: list[tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))] * k
 
-    for family, copies, prim, nxt, prv, disp, copy_idx, par_idx in (
-        ("u", n, pu, next_u, prev_u, disp_u, 0, 2),
-        ("v", m, pv, next_v, prev_v, disp_v, 1, 3),
+    for family, copies, prim, nxt, disp, copy_idx, par_idx in (
+        ("u", n, pu, next_u, disp_u, 0, 2),
+        ("v", m, pv, next_v, disp_v, 1, 3),
     ):
         for copy in range(copies):
             on_copy = sorted(
@@ -96,7 +104,6 @@ def scan_arrangement(u_vec: Vec2, v_vec: Vec2) -> Arrangement:
                 if gap == 0:
                     gap = Fraction(1)  # single crossing on this copy: full loop
                 nxt[ci] = ci_next
-                prv[ci_next] = ci
                 disp[ci] = (gap * prim[0], gap * prim[1])
                 total = (total[0] + disp[ci][0], total[1] + disp[ci][1])
             if total != (Fraction(prim[0]), Fraction(prim[1])):
@@ -109,24 +116,24 @@ def scan_arrangement(u_vec: Vec2, v_vec: Vec2) -> Arrangement:
     for dx, dy in list(disp_u) + list(disp_v):
         denom = math.lcm(denom, dx.denominator, dy.denominator)
 
-    def scale(pairs: list[tuple[Fraction, Fraction]]) -> tuple[tuple[int, int], ...]:
-        return tuple((int(dx * denom), int(dy * denom)) for dx, dy in pairs)
+    # Port 4*i + role: the arc from crossing i to its successor leaves at the
+    # out-port and arrives at the successor's in-port, displaced the other way.
+    arc_other = [-1] * (4 * k)
+    disp: list[tuple[int, int]] = [(0, 0)] * (4 * k)
+    for nxt, arcs, out_role, in_role in (
+        (next_u, disp_u, U_OUT, U_IN),
+        (next_v, disp_v, V_OUT, V_IN),
+    ):
+        for i, (dx, dy) in enumerate(arcs):
+            p, q = 4 * i + out_role, 4 * nxt[i] + in_role
+            arc_other[p], arc_other[q] = q, p
+            disp[p] = (int(dx * denom), int(dy * denom))
+            disp[q] = (-disp[p][0], -disp[p][1])
 
     return Arrangement(
-        u_vec=u_vec,
-        v_vec=v_vec,
-        prim_u=pu,
-        prim_v=pv,
-        copies_u=n,
-        copies_v=m,
         d0=d0,
         crossing_count=k,
-        next_u=tuple(next_u),
-        next_v=tuple(next_v),
-        prev_u=tuple(prev_u),
-        prev_v=tuple(prev_v),
-        disp_u=scale(disp_u),
-        disp_v=scale(disp_v),
+        arc_other=tuple(arc_other),
+        disp=tuple(disp),
         denom=denom,
-        copy_of=tuple((cr[0], cr[1]) for cr in crossings),
     )

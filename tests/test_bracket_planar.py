@@ -1,5 +1,5 @@
 import pytest
-from brute_bracket import brute_bracket
+from brute_bracket import brute_bracket, kauffman_bracket_recursive
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +17,6 @@ from toruskein.bracket_planar import (
     add_reidemeister_ii,
     disjoint_union,
     kauffman_bracket,
-    kauffman_bracket_recursive,
     mirror,
 )
 from toruskein.laurent import DELTA, LaurentPoly
@@ -87,10 +86,6 @@ class TestTextAndJson:
     def test_parse_error(self):
         with pytest.raises(ValueError, match="bad PD token"):
             PDCode.parse("X(1,2,3)")
-
-    def test_json_roundtrip(self):
-        for pd in CORPUS:
-            assert PDCode.from_json(pd.to_json()) == pd
 
 
 class TestMirror:

@@ -56,9 +56,6 @@ class TestDelta:
         assert DELTA == LaurentPoly({2: -1, -2: -1})
         assert LaurentPoly.delta() is DELTA
 
-    def test_sum_of_coefficients(self):
-        assert DELTA.evaluate_at_one() == -2
-
     def test_negation(self):
         assert DELTA * mono(-1, 0) == LaurentPoly({2: 1, -2: 1})
 
@@ -137,6 +134,19 @@ def test_hash_consistency():
     assert len({DELTA, LaurentPoly({2: -1, -2: -1})}) == 1
 
 
+def test_constants_hash_like_ints():
+    # Equal objects hash equally, and a constant polynomial equals its int.
+    assert LaurentPoly({0: 5}) == 5 and hash(LaurentPoly({0: 5})) == hash(5)
+    assert 5 in {LaurentPoly({0: 5})}
+    assert LaurentPoly({0: 5}) in {5}
+    assert 0 in {LaurentPoly.zero()}
+    assert -1 in {LaurentPoly.one() - 2}
+    # A non-constant polynomial still hashes its term set, whatever the fill order.
+    poly = LaurentPoly({0: 7, 2: -1})
+    assert hash(poly) == hash(frozenset({(0, 7), (2, -1)}))
+    assert hash(poly) == hash(LaurentPoly([(2, -1), (0, 7)]))
+
+
 def test_non_dict_mappings_and_pairs_construct_the_same_poly():
     expected = LaurentPoly({2: 1, -1: 3})
     assert LaurentPoly(types.MappingProxyType({2: 1, -1: 3})) == expected
@@ -164,11 +174,6 @@ class TestStoredOrder:
             assert list(poly.to_json().items()) == [("-3", 2), ("0", 7), ("1", -5), ("4", 1)]
             assert repr(poly) == "LaurentPoly({-3: 2, 0: 7, 1: -5, 4: 1})"
             assert hash(poly) == hash(expected)
-
-    def test_sole_exponent(self):
-        assert mono(-3, 5).sole_exponent() == 5
-        with pytest.raises(ValueError):
-            DELTA.sole_exponent()
 
 
 polys = st.dictionaries(st.integers(-9, 9), st.integers(-99, 99), max_size=6).map(LaurentPoly)

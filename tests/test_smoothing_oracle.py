@@ -10,17 +10,19 @@ from toruskein.oriented import OrientedElement, gamma_mul
 from toruskein.skein import Basis, SkeinElement
 from toruskein import smoothing_oracle
 from toruskein.smoothing_oracle import (
+    U_IN,
+    U_OUT,
+    V_IN,
+    V_OUT,
     ArrangementError,
     BudgetExceededError,
-    SmoothingState,
     build_arrangement,
     oriented_product,
     oriented_product_with_ledger,
     psi_oracle,
-    trace,
     unoriented_product,
 )
-from toruskein.torus_curves import EMPTY, UnorientedClass, canonicalize, det2
+from toruskein.torus_curves import EMPTY, UnorientedClass, canonicalize, det2, split_signed
 from toruskein.verify import canonical_classes
 
 
@@ -30,6 +32,21 @@ def cls(vec):
 
 def std(vec):
     return SkeinElement.generator(cls(vec), Basis.STANDARD)
+
+
+def _successors(arr, family):
+    """Successor crossing of each crossing along the u or v family, read from
+    the port table; each arc must end at the successor's in-port."""
+    out_role, in_role = (U_OUT, U_IN) if family == "u" else (V_OUT, V_IN)
+    ends = [arr.arc_other[4 * i + out_role] for i in range(arr.crossing_count)]
+    assert all(q & 3 == in_role for q in ends)
+    return [q >> 2 for q in ends]
+
+
+def _arcs(arr, family):
+    """Displacement of each arc leaving a crossing along the u or v family."""
+    out_role = U_OUT if family == "u" else V_OUT
+    return [arr.disp[4 * i + out_role] for i in range(arr.crossing_count)]
 
 
 def _cycles(successor):
@@ -50,25 +67,26 @@ class TestBuildArrangement:
     def test_single_intersection(self):
         arr = build_arrangement((1, 0), (0, 1))
         assert arr.crossing_count == 1
-        assert arr.next_u == (0,) and arr.next_v == (0,)
-        assert arr.disp_u[0] == (1 * arr.denom, 0)
-        assert arr.disp_v[0] == (0, 1 * arr.denom)
+        # each strand is one arc from the crossing's out-port back to its in-port
+        assert arr.arc_other == (U_OUT, U_IN, V_OUT, V_IN)
+        assert _successors(arr, "u") == [0] and _successors(arr, "v") == [0]
+        assert _arcs(arr, "u") == [(1 * arr.denom, 0)]
+        assert _arcs(arr, "v") == [(0, 1 * arr.denom)]
 
     def test_two_copies_give_two_crossings(self):
         arr = build_arrangement((2, 0), (0, 1))
         assert arr.crossing_count == 2
-        assert arr.copies_u == 2 and arr.copies_v == 1
         # each over-copy is a one-arc component
-        assert _cycles(arr.next_u) == 2
-        assert _cycles(arr.next_v) == 1
+        assert _cycles(_successors(arr, "u")) == 2
+        assert _cycles(_successors(arr, "v")) == 1
 
     def test_three_crossings_with_fractional_arcs(self):
         arr = build_arrangement((1, 2), (2, 1))
         assert arr.crossing_count == 3
-        assert _cycles(arr.next_u) == 1 and _cycles(arr.next_v) == 1
+        assert _cycles(_successors(arr, "u")) == 1 and _cycles(_successors(arr, "v")) == 1
         # each of the three over-arcs advances by a third of the curve
         assert all(
-            (dx * 3, dy * 3) == (1 * arr.denom, 2 * arr.denom) for dx, dy in arr.disp_u
+            (dx * 3, dy * 3) == (1 * arr.denom, 2 * arr.denom) for dx, dy in _arcs(arr, "u")
         )
 
     def test_crossing_count_matches_determinant(self):
@@ -79,8 +97,12 @@ class TestBuildArrangement:
                     continue
                 arr = build_arrangement(u, v)
                 assert arr.crossing_count == abs(d)
-                assert _cycles(arr.next_u) == arr.copies_u
-                assert _cycles(arr.next_v) == arr.copies_v
+                assert _cycles(_successors(arr, "u")) == split_signed(u)[0]
+                assert _cycles(_successors(arr, "v")) == split_signed(v)[0]
+                # both ends of every arc: each names the other, displaced oppositely
+                for p, q in enumerate(arr.arc_other):
+                    assert arr.arc_other[q] == p
+                    assert arr.disp[q] == (-arr.disp[p][0], -arr.disp[p][1])
 
     def test_matches_the_scan_builder(self):
         vecs = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
@@ -99,41 +121,37 @@ class TestBuildArrangement:
         assert build_arrangement((5, 0), (0, 5), budget=25).crossing_count == 25
 
 
+def _traced(arr, mask):
+    """The (hx, hy, winding, arc_count) components of one state, after the
+    checks every walk passes."""
+    comps = smoothing_oracle._components(arr, mask)
+    smoothing_oracle._classify(comps)
+    return comps
+
+
 class TestTrace:
     def test_single_crossing_states(self):
         arr = build_arrangement((1, 0), (0, 1))
-        homologies = set()
+        homologies = []
         for mask in (0, 1):
-            comps = trace(arr, SmoothingState(mask, 1))
+            comps = _traced(arr, mask)
             assert len(comps) == 1
-            comp = comps[0]
-            assert comp.winding == 0
-            assert comp.arc_count == 2
-            homologies.add(tuple(map(abs, comp.homology)))
+            hx, hy, winding, arc_count = comps[0]
+            assert winding == 0
+            assert arc_count == 2
+            homologies.append((hx, hy))
         # the two smoothings produce the (1,1) and (1,-1) classes
-        assert homologies == {(1, 1)}
-        all_classes = {
-            trace(arr, SmoothingState(m, 1))[0].homology in ((1, 1), (-1, -1)) for m in (0, 1)
-        }
-        assert all_classes == {True, False}
+        assert {(abs(hx), abs(hy)) for hx, hy in homologies} == {(1, 1)}
+        assert {h in ((1, 1), (-1, -1)) for h in homologies} == {True, False}
 
     def test_trivial_circle_has_unit_winding(self):
         arr = build_arrangement((1, 1), (1, -1))
         windings = []
         for mask in range(4):
-            for comp in trace(arr, SmoothingState(mask, 2)):
-                if comp.is_trivial_circle:
-                    windings.append(comp.winding)
+            for hx, hy, winding, _ in _traced(arr, mask):
+                if (hx, hy) == (0, 0):
+                    windings.append(winding)
         assert sorted(windings) == [-1, 1]
-
-    def test_state_length_checked(self):
-        arr = build_arrangement((1, 0), (0, 1))
-        with pytest.raises(ValueError):
-            trace(arr, SmoothingState(0, 2))
-
-    def test_state_mask_range_checked(self):
-        with pytest.raises(ValueError):
-            SmoothingState(4, 2)
 
 
 class TestClassify:
@@ -173,7 +191,7 @@ def _sum(acc):
 def _assert_contraction_matches_enumeration(pairs):
     for u, v in pairs:
         arr = build_arrangement(u, v)
-        contracted = smoothing_oracle._contracted_sum(smoothing_oracle._Tracer(arr))
+        contracted = smoothing_oracle._contracted_sum(arr)
         assert _sum(contracted) == _sum(smoothing_oracle._state_sum(arr)), (u, v)
 
 
@@ -202,12 +220,13 @@ class TestContraction:
         assert [abs(det2(u, v)) for u, v in pairs] == [13, 14, 15, 15]
         _assert_contraction_matches_enumeration(pairs)
 
-    def test_tampered_turn_table_raises(self):
-        tracer = smoothing_oracle._Tracer(build_arrangement((2, 1), (1, -2)))
-        corner = next(iter(tracer.turn))
-        tracer.turn[corner] = -tracer.turn[corner]
+    def test_tampered_turn_table_raises(self, monkeypatch):
+        arr = build_arrangement((2, 1), (1, -2))
+        turn = smoothing_oracle._CORNERS[arr.d0 > 0][2]
+        corner = next(iter(turn))
+        monkeypatch.setitem(turn, corner, -turn[corner])
         with pytest.raises(ArrangementError, match="turn"):
-            smoothing_oracle._contracted_sum(tracer)
+            smoothing_oracle._contracted_sum(arr)
 
     def test_twenty_six_crossings(self):
         x, y = cls((5, 1)), cls((1, -5))
@@ -258,6 +277,17 @@ class TestUnorientedProduct:
     def test_workers_do_not_change_the_result(self):
         x, y = cls((2, 1)), cls((1, -2))
         assert unoriented_product(x, y, workers=2) == unoriented_product(x, y)
+
+    def test_each_product_builds_its_arrangement_once(self, monkeypatch):
+        calls = []
+        build = smoothing_oracle.build_arrangement
+        monkeypatch.setattr(
+            smoothing_oracle, "build_arrangement", lambda *a, **kw: calls.append(a) or build(*a, **kw)
+        )
+        unoriented_product(cls((2, 1)), cls((1, -2)))
+        unoriented_product(cls((1, 1)), cls((1, -1)), dump=io.StringIO())
+        oriented_product((2, 1), (1, -2))
+        assert calls == [((2, 1), (1, -2)), ((1, 1), (1, -1)), ((2, 1), (1, -2))]
 
     def test_state_dump_lists_every_state(self):
         buffer = io.StringIO()

@@ -8,7 +8,6 @@ from toruskein.torus_curves import (
     EMPTY,
     UnorientedClass,
     canonicalize,
-    curve_class,
     det2,
     parse_vec,
     split_signed,
@@ -121,6 +120,3 @@ class TestTextAndJson:
         for cls in (EMPTY, UnorientedClass((3, -2))):
             assert UnorientedClass.from_json(cls.to_json()) == cls
         assert UnorientedClass.from_json([-1, 2]) == UnorientedClass((1, -2))
-
-    def test_curve_class_shortcut(self):
-        assert curve_class((-2, 2)) == UnorientedClass((2, -2))
