@@ -23,7 +23,6 @@ from .smoothing_oracle import (
     BudgetExceededError,
     build_arrangement,
     oriented_product,
-    psi_oracle,
     unoriented_product,
 )
 from .torus_curves import EMPTY, UnorientedClass, canonicalize, det2, split_signed
@@ -57,7 +56,6 @@ __all__ = [
     "psi",
     "psi_chebyshev",
     "psi_inverse",
-    "psi_oracle",
     "split_signed",
     "unoriented_product",
 ]

@@ -11,8 +11,6 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .laurent import LaurentPoly
-
 IntPoly = tuple[int, ...]  # coefficients, index = power of the indeterminate
 
 # Largest degree the conversions (and psi, whose multiplicity-n term is the
@@ -58,11 +56,3 @@ def power_to_chebyshev(n: int) -> dict[int, int]:
     if n % 2 == 0:
         out[0] = comb(n, n // 2)
     return out
-
-
-def evaluate_laurent(poly: IntPoly, value: LaurentPoly) -> LaurentPoly:
-    """Substitute a Laurent polynomial for the indeterminate (Horner)."""
-    result = LaurentPoly.zero()
-    for coeff in reversed(poly):
-        result = result * value + coeff
-    return result

@@ -234,7 +234,14 @@ class LaurentPoly:
     def from_json(cls, data: Mapping[str, int]) -> "LaurentPoly":
         if not isinstance(data, Mapping):
             raise ValueError(f"expected an object of exponent: coefficient, got {data!r}")
-        return cls({int(e): int(c) for e, c in data.items()})
+        return cls({int(e): json_int(c) for e, c in data.items()})
+
+
+def json_int(value: object) -> int:
+    """A JSON integer as it is; a float, boolean or string raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _coerce(value: "LaurentPoly | int") -> LaurentPoly:

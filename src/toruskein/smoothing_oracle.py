@@ -19,6 +19,9 @@ are |d0| crossings and n*m*|d0| = |det2(u, v)| = k in total.
 The unoriented product sums over all 2^k smoothing states without listing
 them: the crossings are resolved one at a time, and partial states that agree
 on their open paths and closed components are merged (frontier contraction).
+They are taken in a sweep along a shortest cut curve, the primitive class c
+minimising |det2(c, u)| + |det2(c, v)|: by height det2(c, p) mod 1, then along
+the level curve, so about 2(|det2(c, u)| + |det2(c, v)|) ports are open at once.
 Listing every state (``--dump-states``) takes the brute-force enumeration.
 
 Each crossing has four ports: the over-strand enters at ``u_in`` and leaves at
@@ -81,8 +84,8 @@ class Arrangement:
 
     Port 4*i + role belongs to crossing i.  ``arc_other[p]`` is the port at
     the other end of p's arc and ``disp[p]`` the arc's displacement leaving
-    p, in units of 1/denom; the two ends of an arc carry opposite
-    displacements.
+    p (the two ends of an arc carry opposite ones); ``point[i]`` is crossing
+    i's position minus crossing 0's, mod 1; both in units of 1/denom.
     """
 
     d0: int  # det2 of the two primitive directions, nonzero
@@ -90,6 +93,7 @@ class Arrangement:
     arc_other: tuple[int, ...]
     disp: tuple[Vec2, ...]
     denom: int
+    point: tuple[Vec2, ...]
 
 
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -176,7 +180,7 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
     scale = den_u * den_v
     size = abs(d0) * scale
     crossings: list[tuple[int, int, int, int]] = []
-    points: set[Vec2] = set()
+    points: dict[Vec2, None] = {}  # in crossing order
     for j in range(n):
         ou = (abs(d0) * (j + 1) * den_v * xi_u[0], abs(d0) * (j + 1) * den_v * xi_u[1])
         for l in range(m):
@@ -188,7 +192,7 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
                 pt = ((t * pu[0] + ou[0]) % size, (t * pu[1] + ou[1]) % size)
                 if pt in points:
                     raise ArrangementError(f"two crossings at one point {pt}/{size}")
-                points.add(pt)
+                points[pt] = None
                 crossings.append((j, l, t, w))
 
     if len(crossings) != k:
@@ -222,14 +226,16 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
                     f"expected {prim}"
                 )
 
-    # The least common denominator of all displacements.
+    # The least common denominator of all displacements, so of point differences.
     unit = math.gcd(size, *(c for pair in disp for c in pair))
+    x0, y0 = next(iter(points))
     return Arrangement(
         d0=d0,
         crossing_count=k,
         arc_other=tuple(arc_other),
         disp=tuple((dx // unit, dy // unit) for dx, dy in disp),
         denom=size // unit,
+        point=tuple(((x - x0) % size // unit, (y - y0) % size // unit) for x, y in points),
     )
 
 
@@ -383,33 +389,31 @@ def _state_sum(arr: Arrangement, dump: IO[str] | None = None) -> StateSum:
     return acc
 
 
-def _crossing_order(arr: Arrangement) -> list[int]:
-    """Greedy elimination order: next, the crossing leaving the fewest open ports.
+def _shortest_cut(u: Vec2, v: Vec2) -> Vec2:
+    """A primitive c minimising |det2(c, u)| + |det2(c, v)|, by Gauss-Lagrange
+    reduction of that norm (Kaib-Schnorr 1996).  The norm of b - mu*a is convex
+    and piecewise linear in mu, so the best integer step is next to a kink."""
+    def norm(c: Vec2) -> int:
+        return abs(det2(c, u)) + abs(det2(c, v))
+    a, b = sorted([(1, 0), (0, 1)], key=norm)
+    while True:
+        steps = [det2(b, w) // det2(a, w) + r for w in (u, v) if det2(a, w) for r in (0, 1)]
+        b = min(((b[0] - mu * a[0], b[1] - mu * a[1]) for mu in steps), key=norm)
+        if norm(b) >= norm(a):
+            return a
+        a, b = b, a
 
-    A port is open while its crossing is unresolved and the crossing at the
-    other end of its arc is resolved.
-    """
-    arc_other = arr.arc_other
-    todo = set(range(arr.crossing_count))
-    open_ports: set[int] = set()
-    order = []
 
-    def growth(c: int) -> tuple[int, int]:
-        ports = range(4 * c, 4 * c + 4)
-        closed = sum(p in open_ports for p in ports)
-        opened = sum(p not in open_ports and arc_other[p] >> 2 != c for p in ports)
-        return opened - closed, c
-
-    while todo:
-        c = min(todo, key=growth)
-        todo.discard(c)
-        order.append(c)
-        for p in range(4 * c, 4 * c + 4):
-            if p in open_ports:
-                open_ports.discard(p)
-            elif arc_other[p] >> 2 != c:
-                open_ports.add(arc_other[p])
-    return order
+def _sweep_order(arr: Arrangement) -> list[int]:
+    """Crossings by height along the shortest cut, then along its level curve.
+    Each family's out-port displacements sum to its class times denom."""
+    u, v = (tuple(sum(c) // arr.denom for c in zip(*arr.disp[role::4])) for role in (U_OUT, V_OUT))
+    cut = _shortest_cut(u, v)
+    xi = _transversal(cut)
+    return sorted(
+        range(arr.crossing_count),
+        key=lambda i: (det2(cut, arr.point[i]) % arr.denom, det2(xi, arr.point[i]) % arr.denom),
+    )
 
 
 def _contracted_sum(arr: Arrangement) -> StateSum:
@@ -426,7 +430,7 @@ def _contracted_sum(arr: Arrangement) -> StateSum:
     arc_other, disp, denom = arr.arc_other, arr.disp, arr.denom
     pair_a, pair_b, turn = _CORNERS[arr.d0 > 0]
     states: dict[tuple, dict[int, int]] = {((), 0, None): {0: 1}}
-    for c in _crossing_order(arr):
+    for c in _sweep_order(arr):
         ports = range(4 * c, 4 * c + 4)
         # Arcs from this crossing to an unresolved one (or to itself) enter
         # the partial state now; ``fresh`` holds each arc from both ends.
@@ -545,16 +549,12 @@ class GaussLedger:
     removals: tuple[tuple[int, int], ...] = ()
 
     @property
-    def removal_exponent(self) -> int:
-        return sum(de for de, _ in self.removals)
-
-    @property
     def removed_winding(self) -> int:
         return sum(w for _, w in self.removals)
 
     @property
     def output_exponent(self) -> int:
-        return self.smoothing_exponent + self.removal_exponent
+        return self.smoothing_exponent + sum(de for de, _ in self.removals)
 
     def relation_imbalance(self) -> int:
         """Sum of (exponent/2 - winding) over removals; zero when every circle
@@ -606,21 +606,3 @@ def oriented_product_with_ledger(
 def oriented_product(u: Vec2, v: Vec2, budget: int = DEFAULT_BUDGET) -> OrientedElement:
     """Oriented superposition product; a single monomial on one gamma key."""
     return oriented_product_with_ledger(u, v, budget=budget)[0]
-
-
-def psi_oracle(cls: UnorientedClass) -> OrientedElement:
-    """Sum over all 2^n orientation assignments of the n parallel copies.
-
-    Parallel copies have no crossings; each assignment reduces by canceling
-    opposite pairs at unit coefficient, leaving the net signed count of
-    copies.  This is the enumeration that certifies the binomial closed form
-    used by the fast symmetrization map.
-    """
-    if cls.is_empty:
-        return OrientedElement.unit()
-    n, prim = cls.split()
-    terms: list[tuple[Vec2, LaurentPoly]] = []
-    for assignment in range(1 << n):
-        net = n - 2 * bin(assignment).count("1")
-        terms.append(((net * prim[0], net * prim[1]), LaurentPoly.one()))
-    return OrientedElement.make(terms)

@@ -15,6 +15,8 @@ import math
 import re
 from dataclasses import dataclass
 
+from .laurent import json_int
+
 Vec2 = tuple[int, int]
 
 
@@ -112,7 +114,7 @@ def vec_from_json(data: object) -> Vec2:
     """Parse the JSON form [a, b]."""
     if not (isinstance(data, (list, tuple)) and len(data) == 2):
         raise ValueError(f"expected [a, b], got {data!r}")
-    return (int(data[0]), int(data[1]))
+    return (json_int(data[0]), json_int(data[1]))
 
 
 _VEC_RE = re.compile(r"^\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)$")

@@ -7,15 +7,13 @@ counterexamples found (as printable strings).  These functions back both the
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from math import gcd
 
 from . import smoothing_oracle as oracle
-from .laurent import LaurentPoly
-from .oriented import gamma_mul, psi, psi_chebyshev, psi_inverse
+from .oriented import gamma_mul, psi
 from .skein import Basis, SkeinElement
-from .torus_curves import EMPTY, UnorientedClass, canonicalize, det2
+from .torus_curves import UnorientedClass, det2
 
 
 @dataclass
@@ -140,58 +138,6 @@ def swap_symmetry_sweep(max_coord: int = 3, max_det: int = 10) -> SweepResult:
             backward = gens[y] * gens[x]
             if backward != forward.map_coefficients(lambda c: c.mirror()):
                 result.fail(f"{x}_T * {y}_T is not mirror-symmetric under swapping")
-    return result
-
-
-# ----- randomized round trips -----
-
-
-def random_laurent(rng: random.Random, max_exp: int = 5, max_coeff: int = 9) -> LaurentPoly:
-    terms = {}
-    for _ in range(rng.randint(1, 3)):
-        terms[rng.randint(-max_exp, max_exp)] = rng.randint(-max_coeff, max_coeff)
-    poly = LaurentPoly(terms)
-    return poly if not poly.is_zero else LaurentPoly.one()
-
-def random_class(rng: random.Random, max_coord: int = 6, max_mult: int = 4) -> UnorientedClass:
-    while True:
-        n = rng.randint(1, max_mult)
-        p, q = rng.randint(-max_coord, max_coord), rng.randint(-max_coord, max_coord)
-        if (p, q) == (0, 0):
-            continue
-        g = gcd(p, q)
-        p, q = p // g, q // g
-        if max(abs(n * p), abs(n * q)) <= max_coord:
-            return canonicalize((n * p, n * q))[0]
-
-
-def random_skein(
-    rng: random.Random, basis: Basis, max_coord: int = 6, max_mult: int = 4
-) -> SkeinElement:
-    terms = []
-    for _ in range(rng.randint(1, 4)):
-        key = EMPTY if rng.random() < 0.2 else random_class(rng, max_coord, max_mult)
-        terms.append((key, random_laurent(rng)))
-    return SkeinElement.make(basis, terms)
-
-
-def roundtrip_sweep(count: int = 500, seed: int = 20250810) -> SweepResult:
-    """Basis conversions and psi/psi_inverse as exact mutual inverses."""
-    result = SweepResult("basis and psi round trips")
-    rng = random.Random(seed)
-    for _ in range(count):
-        std = random_skein(rng, Basis.STANDARD)
-        result.cases += 1
-        if std.to_chebyshev().to_standard() != std:
-            result.fail(f"standard -> chebyshev -> standard broke on {std}")
-        che = random_skein(rng, Basis.CHEBYSHEV)
-        if che.to_standard().to_chebyshev() != che:
-            result.fail(f"chebyshev -> standard -> chebyshev broke on {che}")
-        sym = psi_chebyshev(che)
-        if not sym.is_symmetric():
-            result.fail(f"psi image not symmetric for {che}")
-        if psi_inverse(sym) != che:
-            result.fail(f"psi_inverse(psi({che})) != identity")
     return result
 
 

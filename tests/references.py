@@ -1,0 +1,96 @@
+"""Test-only references: enumerations and random elements the runtime never needs.
+
+``psi_oracle`` enumerates all 2^n orientations of a class, the definition
+that ``oriented.psi``'s binomial closed form must reproduce.
+``evaluate_laurent`` substitutes a Laurent polynomial into an integer
+polynomial.  ``roundtrip_sweep`` draws random elements and checks that the
+basis changes and psi/psi_inverse are exact mutual inverses.
+"""
+
+from __future__ import annotations
+
+import random
+from math import gcd
+
+from toruskein.chebyshev import IntPoly
+from toruskein.laurent import LaurentPoly
+from toruskein.oriented import OrientedElement, psi_chebyshev, psi_inverse
+from toruskein.skein import Basis, SkeinElement
+from toruskein.torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize
+from toruskein.verify import SweepResult
+
+
+def psi_oracle(cls: UnorientedClass) -> OrientedElement:
+    """Sum over all 2^n orientation assignments of the n parallel copies.
+
+    Parallel copies have no crossings; each assignment reduces by canceling
+    opposite pairs at unit coefficient, leaving the net signed count of
+    copies.  This is the enumeration that certifies the binomial closed form
+    used by the fast symmetrization map.
+    """
+    if cls.is_empty:
+        return OrientedElement.unit()
+    n, prim = cls.split()
+    terms: list[tuple[Vec2, LaurentPoly]] = []
+    for assignment in range(1 << n):
+        net = n - 2 * bin(assignment).count("1")
+        terms.append(((net * prim[0], net * prim[1]), LaurentPoly.one()))
+    return OrientedElement.make(terms)
+
+
+def evaluate_laurent(poly: IntPoly, value: LaurentPoly) -> LaurentPoly:
+    """Substitute a Laurent polynomial for the indeterminate (Horner)."""
+    result = LaurentPoly.zero()
+    for coeff in reversed(poly):
+        result = result * value + coeff
+    return result
+
+
+def random_laurent(rng: random.Random, max_exp: int = 5, max_coeff: int = 9) -> LaurentPoly:
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        terms[rng.randint(-max_exp, max_exp)] = rng.randint(-max_coeff, max_coeff)
+    poly = LaurentPoly(terms)
+    return poly if not poly.is_zero else LaurentPoly.one()
+
+
+def random_class(rng: random.Random, max_coord: int = 6, max_mult: int = 4) -> UnorientedClass:
+    while True:
+        n = rng.randint(1, max_mult)
+        p, q = rng.randint(-max_coord, max_coord), rng.randint(-max_coord, max_coord)
+        if (p, q) == (0, 0):
+            continue
+        g = gcd(p, q)
+        p, q = p // g, q // g
+        if max(abs(n * p), abs(n * q)) <= max_coord:
+            return canonicalize((n * p, n * q))[0]
+
+
+def random_skein(
+    rng: random.Random, basis: Basis, max_coord: int = 6, max_mult: int = 4
+) -> SkeinElement:
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        key = EMPTY if rng.random() < 0.2 else random_class(rng, max_coord, max_mult)
+        terms.append((key, random_laurent(rng)))
+    return SkeinElement.make(basis, terms)
+
+
+def roundtrip_sweep(count: int = 500, seed: int = 20250810) -> SweepResult:
+    """Basis conversions and psi/psi_inverse as exact mutual inverses."""
+    result = SweepResult("basis and psi round trips")
+    rng = random.Random(seed)
+    for _ in range(count):
+        std = random_skein(rng, Basis.STANDARD)
+        result.cases += 1
+        if std.to_chebyshev().to_standard() != std:
+            result.fail(f"standard -> chebyshev -> standard broke on {std}")
+        che = random_skein(rng, Basis.CHEBYSHEV)
+        if che.to_standard().to_chebyshev() != che:
+            result.fail(f"chebyshev -> standard -> chebyshev broke on {che}")
+        sym = psi_chebyshev(che)
+        if not sym.is_symmetric():
+            result.fail(f"psi image not symmetric for {che}")
+        if psi_inverse(sym) != che:
+            result.fail(f"psi_inverse(psi({che})) != identity")
+    return result

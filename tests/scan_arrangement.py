@@ -67,7 +67,7 @@ def scan_arrangement(u_vec: Vec2, v_vec: Vec2) -> Arrangement:
 
     eps_u, eps_v = Fraction(1, n + 1), Fraction(1, m + 1)
     crossings: list[tuple[int, int, Fraction, Fraction]] = []
-    points: set[tuple[Fraction, Fraction]] = set()
+    points: list[tuple[Fraction, Fraction]] = []
     for j in range(n):
         ou = ((j + 1) * eps_u * xi_u[0], (j + 1) * eps_u * xi_u[1])
         for l in range(m):
@@ -76,7 +76,7 @@ def scan_arrangement(u_vec: Vec2, v_vec: Vec2) -> Arrangement:
                 pt = ((t * pu[0] + ou[0]) % 1, (t * pu[1] + ou[1]) % 1)
                 if pt in points:
                     raise ArrangementError(f"two crossings at one point {pt}")
-                points.add(pt)
+                points.append(pt)
                 crossings.append((j, l, t, w))
 
     if len(crossings) != k:
@@ -130,10 +130,20 @@ def scan_arrangement(u_vec: Vec2, v_vec: Vec2) -> Arrangement:
             disp[p] = (int(dx * denom), int(dy * denom))
             disp[q] = (-disp[p][0], -disp[p][1])
 
+    # Each crossing's position minus crossing 0's, mod 1, must be whole in
+    # units of 1/denom.
+    point = []
+    for px, py in points:
+        x, y = (px - points[0][0]) % 1 * denom, (py - points[0][1]) % 1 * denom
+        if x.denominator != 1 or y.denominator != 1:
+            raise ArrangementError(f"crossing point {(px, py)} is not a multiple of 1/{denom}")
+        point.append((int(x), int(y)))
+
     return Arrangement(
         d0=d0,
         crossing_count=k,
         arc_other=tuple(arc_other),
         disp=tuple(disp),
         denom=denom,
+        point=tuple(point),
     )

@@ -6,9 +6,11 @@ report inline.  Every check is exact; the only tolerances are runtime caps.
 
 import time
 
+from references import evaluate_laurent, roundtrip_sweep
+
 from toruskein import verify
 from toruskein.bracket_planar import PDCode, kauffman_bracket
-from toruskein.chebyshev import chebyshev_t, evaluate_laurent
+from toruskein.chebyshev import chebyshev_t
 from toruskein.laurent import A, LaurentPoly
 from toruskein.skein import Basis, SkeinElement
 from toruskein.torus_curves import UnorientedClass
@@ -92,7 +94,7 @@ def test_criterion_5_chebyshev_identity():
 
 def test_criterion_6_roundtrips():
     start = time.perf_counter()
-    result = verify.roundtrip_sweep(count=500)
+    result = roundtrip_sweep(count=500)
     elapsed = time.perf_counter() - start
     report(
         "6 (basis and psi round trips, 500 random elements)",

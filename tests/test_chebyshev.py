@@ -1,6 +1,8 @@
 import pytest
 
-from toruskein.chebyshev import MAX_DEGREE, chebyshev_t, evaluate_laurent, power_to_chebyshev
+from references import evaluate_laurent
+
+from toruskein.chebyshev import MAX_DEGREE, chebyshev_t, power_to_chebyshev
 from toruskein.laurent import A, LaurentPoly
 
 

@@ -220,8 +220,15 @@ class TestErrors:
             ("psi-inv", "{}", "terms: missing"),
             ("psi-inv", '{"terms":[{"gamma":[1]}]}', "terms[0].gamma:"),
             ("psi", '{"basis":"standard"}', "terms: missing"),
+            ("psi", '{"basis":"standard","terms":[{"class":[1.9,0],"coeff":{"0":2.7}}]}',
+             "terms[0].class: expected an integer, got 1.9"),
+            ("psi-inv", '{"terms":[{"gamma":[true,0],"coeff":{"0":1}}]}',
+             "terms[0].gamma: expected an integer, got True"),
+            ("psi", '{"basis":"standard","terms":[{"class":[1,0],"coeff":{"0":"5"}}]}',
+             "terms[0].coeff: expected an integer, got '5'"),
         ],
-        ids=["not-json", "no-terms", "short-gamma", "standard-no-terms"],
+        ids=["not-json", "no-terms", "short-gamma", "standard-no-terms", "float-class",
+             "bool-gamma", "string-coeff"],
     )
     def test_bad_json(self, capsys, verb, text, where):
         code, out, err = invoke(capsys, verb, text)

@@ -14,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from test_bracket_planar import torus_knot
@@ -186,3 +186,31 @@ def test_large_brackets_run_under_a_raised_budget(pd, as_json):
     code, out, err = run_quietly(args, "")
     assert code == 0, (args, err)
     assert out and "Traceback" not in out + err
+
+
+@st.composite
+def long_strand_pair(draw):
+    """Two classes with 20 to 60 crossings that one curve c meets at most
+    four times in all.  In a basis c, xi with det2(c, xi) = 1, the class
+    a*c + b*xi meets c |b| times."""
+    s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    c, xi = (1, s), (t, 1 + s * t)
+    b1 = draw(st.integers(-4, 4))
+    b2 = draw(st.integers(abs(b1) - 4, 4 - abs(b1)))
+    a1, a2 = draw(st.integers(-60, 60)), draw(st.integers(-60, 60))
+    u = (a1 * c[0] + b1 * xi[0], a1 * c[1] + b1 * xi[1])
+    v = (a2 * c[0] + b2 * xi[0], a2 * c[1] + b2 * xi[1])
+    assume(20 <= abs(a1 * b2 - b1 * a2) <= 60)  # det2(u, v) = det2(a1, b1; a2, b2)
+    if draw(st.booleans()):  # reflect both classes in the diagonal
+        u, v = u[::-1], v[::-1]
+    return u, v
+
+
+@settings(max_examples=40, deadline=3000, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(pair=long_strand_pair(), as_json=st.booleans())
+def test_long_strand_products_run_under_a_raised_budget(pair, as_json):
+    x, y = ("({},{})".format(*w) for w in pair)
+    flags = ["--json"] if as_json else []
+    code, out, err = run_quietly(["oracle-mul", "--budget", "60", x, y] + flags, "")
+    assert code == 0, (x, y, err)
+    assert out == run_quietly(["mul", x, y] + flags, "")[1]

@@ -1,11 +1,14 @@
 """The smoothing oracle certifies the product-to-sum path, so it must not
 compute with that path's arithmetic.  This reads the oracle's source and
 fails if it imports from the Chebyshev module or names the fast product's
-kernels."""
+kernels.  It also reads every module of the package and fails if one
+imports anything outside the standard library and the package itself."""
 
 import ast
+import sys
 from pathlib import Path
 
+import toruskein
 from toruskein import smoothing_oracle
 
 FAST_PATH_NAMES = {"_mul_chebyshev", "_generator_product", "gamma_mul", "power_to_chebyshev"}
@@ -47,3 +50,15 @@ def test_oracle_names_no_fast_product_kernel():
     names = _names(_oracle_tree())
     assert "build_arrangement" in names  # the walk sees the oracle's own names
     assert not names & FAST_PATH_NAMES
+
+
+def test_runtime_imports_only_the_standard_library():
+    sources = sorted(Path(toruskein.__file__).parent.glob("*.py"))
+    assert len(sources) > 5 and smoothing_oracle.__file__ in map(str, sources)
+    for source in sources:
+        modules = _imported_modules(ast.parse(source.read_text(), str(source)))
+        outside = {
+            m for m in modules
+            if not m.startswith(".") and m.split(".")[0] not in sys.stdlib_module_names | {"toruskein"}
+        }
+        assert not outside, (source.name, outside)

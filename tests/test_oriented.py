@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from references import psi_oracle, random_skein
+
 from toruskein.laurent import LaurentPoly
 from toruskein.oriented import (
     AsymmetricElementError,
@@ -12,9 +14,8 @@ from toruskein.oriented import (
     psi_inverse,
 )
 from toruskein.skein import Basis, BasisMismatchError, SkeinElement
-from toruskein.smoothing_oracle import psi_oracle
 from toruskein.torus_curves import UnorientedClass, det2
-from toruskein.verify import canonical_classes, random_skein
+from toruskein.verify import canonical_classes
 
 
 def gam(*keys):

@@ -3,10 +3,12 @@ import types
 
 import pytest
 
+from references import random_skein
+
 from toruskein.laurent import LaurentPoly
 from toruskein.skein import Basis, BasisMismatchError, SkeinElement, chebyshev_of
 from toruskein.torus_curves import EMPTY, UnorientedClass
-from toruskein.verify import canonical_classes, random_skein
+from toruskein.verify import canonical_classes
 
 
 def std(vec):

@@ -1,8 +1,11 @@
 import io
+import math
 import random
+import time
 
 import pytest
 
+from references import psi_oracle
 from scan_arrangement import scan_arrangement
 
 from toruskein.laurent import LaurentPoly
@@ -19,7 +22,6 @@ from toruskein.smoothing_oracle import (
     build_arrangement,
     oriented_product,
     oriented_product_with_ledger,
-    psi_oracle,
     unoriented_product,
 )
 from toruskein.torus_curves import EMPTY, UnorientedClass, canonicalize, det2, split_signed
@@ -188,11 +190,34 @@ def _sum(acc):
     return {key: bucket for key, bucket in out.items() if bucket}
 
 
+def _cut_cost(u, v):
+    """Crossings of the two families with a shortest cut curve."""
+    cut = smoothing_oracle._shortest_cut(u, v)
+    return abs(det2(cut, u)) + abs(det2(cut, v))
+
+
+def _peak_open_ports(arr):
+    """The most ports open at once along the sweep: ports of unresolved
+    crossings whose arcs lead to resolved ones."""
+    resolved = set()
+    open_ports = set()
+    peak = 0
+    for c in smoothing_oracle._sweep_order(arr):
+        resolved.add(c)
+        for p in range(4 * c, 4 * c + 4):
+            open_ports.discard(p)
+            if arr.arc_other[p] >> 2 not in resolved:
+                open_ports.add(arr.arc_other[p])
+        peak = max(peak, len(open_ports))
+    return peak
+
+
 def _assert_contraction_matches_enumeration(pairs):
     for u, v in pairs:
         arr = build_arrangement(u, v)
         contracted = smoothing_oracle._contracted_sum(arr)
         assert _sum(contracted) == _sum(smoothing_oracle._state_sum(arr)), (u, v)
+        assert _peak_open_ports(arr) <= 2 * _cut_cost(u, v) + 2, (u, v)
 
 
 class TestContraction:
@@ -236,6 +261,42 @@ class TestContraction:
     def test_one_hundred_fifty_parallel_copies(self, u, v):
         # More copies than any fixed offset denominator could keep apart.
         assert unoriented_product(cls(u), cls(v), budget=150) == std(u) * std(v)
+
+    @pytest.mark.parametrize("u, v, width", [((1, 0), (3, 40), 8), ((3, 1), (1, -9), 8)])
+    def test_one_long_winding_strand(self, u, v, width):
+        # Forty and twenty-eight crossings, yet a cut curve meets only four
+        # strands, so the sweep keeps at most eight ports open.
+        assert _peak_open_ports(build_arrangement(u, v, budget=40)) == width
+        start = time.process_time()
+        assert unoriented_product(cls(u), cls(v), budget=40) == std(u) * std(v)
+        assert time.process_time() - start < 1.0
+
+
+class TestShortestCut:
+    def test_reduction_finds_the_minimum(self):
+        classes = [c.vec for c in canonical_classes(6)]
+        pairs = [(u, v) for u in classes for v in classes if det2(u, v)]
+        assert len(pairs) > 6000
+        for u, v in pairs:
+            def norm(c):
+                return abs(det2(c, u)) + abs(det2(c, v))
+            cut = smoothing_oracle._shortest_cut(u, v)
+            assert math.gcd(*cut) == 1, (u, v)
+            # Any c no longer than (1,0) or (0,1) lies in this box: the map
+            # c -> (det2(c, u), det2(c, v)) has determinant det2(u, v), so its
+            # inverse scales 1-norms by at most max|coord| / |det2(u, v)|.
+            bound = max(map(abs, u + v)) * min(norm((1, 0)), norm((0, 1))) // abs(det2(u, v))
+            box = [(x, y) for x in range(-bound, bound + 1) for y in range(-bound, bound + 1)]
+            assert norm(cut) == min(norm(c) for c in box if c != (0, 0)), (u, v)
+
+    def test_points_are_offsets_from_crossing_zero(self):
+        arr = build_arrangement((1, 2), (2, 1))
+        assert arr.point[0] == (0, 0)
+        assert len(set(arr.point)) == arr.crossing_count
+        # crossing 0's successor along u lies one over-arc further on
+        i = arr.arc_other[U_OUT] >> 2
+        dx, dy = arr.disp[U_OUT]
+        assert arr.point[i] == (dx % arr.denom, dy % arr.denom)
 
 
 class TestUnorientedProduct:
