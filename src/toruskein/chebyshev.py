@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
+from operator import sub
 
 IntPoly = tuple[int, ...]  # coefficients, index = power of the indeterminate
 
 # Largest degree the conversions (and psi, whose multiplicity-n term is the
-# same binomial expansion) accept.  T_n costs O(n^2) bigint work and stays in
-# the cache, so larger degrees are refused before any work starts.
+# same binomial expansion) accept.  T_0..T_n cost O(n^2) bigint work and stay
+# in the cache (about 25 MiB at this limit), so larger degrees are refused
+# before any work starts.
 MAX_DEGREE = 1024
 
 
@@ -29,17 +31,24 @@ def check_degree(n: int, what: str) -> None:
 
 @lru_cache(maxsize=None)
 def chebyshev_t(n: int) -> IntPoly:
-    """Coefficient tuple of the n-th first-kind Chebyshev polynomial."""
+    """Coefficient tuple of the n-th first-kind Chebyshev polynomial.
+
+    Each degree is one recurrence step from the two cached degrees below it.
+    The cache always holds the degrees 2..m (and maybe 0 and 1), so a call
+    first fills the missing degrees below n in ascending order, from just
+    under the cache size up: no call nests more than two deep, a cold T_n
+    costs O(n^2) and each new degree O(n).
+    """
     check_degree(n, "Chebyshev index")
-    if n == 0:
-        return (2,)
-    prev: IntPoly = (2,)
-    cur: IntPoly = (0, 1)
-    for _ in range(n - 1):
-        shifted = (0,) + cur
-        nxt = tuple(s - p for s, p in zip(shifted, prev + (0,) * (len(shifted) - len(prev))))
-        prev, cur = cur, nxt
-    return cur
+    if n < 2:
+        return ((2,), (0, 1))[n]
+    for k in range(max(2, _t_cache_info().currsize - 1), n - 1):
+        chebyshev_t(k)
+    prev, cur = chebyshev_t(n - 2), chebyshev_t(n - 1)
+    return tuple(map(sub, (0,) + cur, prev + (0, 0)))  # X*T_(n-1) - T_(n-2)
+
+
+_t_cache_info = chebyshev_t.cache_info  # bound to the cache, whatever wraps the name later
 
 
 def power_to_chebyshev(n: int) -> dict[int, int]:

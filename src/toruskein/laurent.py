@@ -7,8 +7,12 @@ equality is plain term-map equality.
 
 Text form: a sum of terms ``[sign] [coeff] ["A" ["^" exponent]]``, whitespace
 insensitive, printed in ascending exponent order (``"-A^-2 - A^2"`` is the
-circle value delta).  JSON form: an object mapping exponent strings to integer
-coefficients, e.g. ``{"-2": -1, "2": -1}``.
+circle value delta).  JSON form: an object mapping exponent strings (ASCII
+``-?[0-9]+``) to integer coefficients, e.g. ``{"-2": -1, "2": -1}``.
+
+The fast algebra and the state sums accumulate into bare {exponent: coeff}
+maps with ``add_product`` (``circle_step`` for a power of delta) and turn each
+finished map into a polynomial once (the fast algebra with ``wrap_nonzero``).
 """
 
 from __future__ import annotations
@@ -232,16 +236,28 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data: Mapping[str, int]) -> "LaurentPoly":
+        """Read the JSON form: keys ASCII ``-?[0-9]+``, values JSON integers;
+        anything else raises ValueError naming the first bad entry."""
         if not isinstance(data, Mapping):
             raise ValueError(f"expected an object of exponent: coefficient, got {data!r}")
-        return cls({int(e): json_int(c) for e, c in data.items()})
+        terms = {_exponent(e): json_int(c) for e, c in data.items()}
+        if len(terms) == len(data) and all(terms.values()):
+            return _wrap(terms)
+        return cls((int(e), c) for e, c in data.items())  # "1" and "01" add up; zeros go
+
+
+def _exponent(key: str) -> int:
+    # int() alone would also take " -2 ", "3_0" and "٣".
+    if key.isascii() and key.removeprefix("-").isdigit():
+        return int(key)
+    raise ValueError(f"expected an integer exponent key, got {key!r}")
 
 
 def json_int(value: object) -> int:
     """A JSON integer as it is; a float, boolean or string raises ValueError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
+    if type(value) is int or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 def _coerce(value: "LaurentPoly | int") -> LaurentPoly:
@@ -260,26 +276,44 @@ def _wrap(canonical: dict[int, int]) -> LaurentPoly:
 
 
 def circle_step(acc: dict[int, int], terms: Mapping[int, int], shift: int, circles: int) -> None:
-    """acc += A^shift * delta^circles * terms on bare {exponent: coeff} maps.
+    """acc += A^shift * delta^circles * terms: the state sums' add_product."""
+    add_product(acc, terms, _delta_power(circles), shift)
 
-    The state sums accumulate such maps, zero entries and all, and wrap the
-    result in a LaurentPoly once at the end.
+
+def add_product(
+    acc: dict[int, int], x: Mapping[int, int], y: Mapping[int, int] | None = None,
+    shift: int = 0, scale: int = 1,
+) -> None:
+    """acc += scale * A^shift * x * y on bare {exponent: coeff} maps (no y: 1).
+
+    This is the package's one accumulation step: the fast algebra's products,
+    basis changes and psi and the state sums add into such maps, zero entries
+    and all, and turn each finished map into a polynomial once.
     """
-    if not circles:
-        for e, c in terms.items():
-            e += shift
-            acc[e] = acc.get(e, 0) + c
-        return
-    factor = _delta_power(circles)
-    for e, c in terms.items():
-        e += shift
-        for de, dc in factor:
-            acc[e + de] = acc.get(e + de, 0) + c * dc
+    if y is None:
+        y = _ONE._terms
+    for ey, cy in y.items():
+        ey += shift
+        cy *= scale
+        for e, c in x.items():
+            e += ey
+            acc[e] = acc.get(e, 0) + c * cy
+
+
+def wrap_nonzero(acc: dict[int, int]) -> LaurentPoly:
+    """The polynomial of a finished bare map, its zero entries dropped.
+
+    The map becomes the polynomial's storage when it has no zero entry, so
+    the caller must not touch it afterwards.
+    """
+    if not all(acc.values()):
+        acc = {e: c for e, c in acc.items() if c}
+    return _wrap(acc)
 
 
 @cache
-def _delta_power(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((_DELTA**n)._terms.items())
+def _delta_power(n: int) -> dict[int, int]:
+    return (_DELTA**n)._terms
 
 
 def signed_monomial(exp: int, coeff: int) -> tuple[str, str]:

@@ -20,7 +20,7 @@ from math import comb
 from typing import Iterable, Mapping
 
 from .chebyshev import check_degree
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, add_product
 from .skein import Basis, BasisMismatchError, SkeinElement, TermMap, format_terms
 from .torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize, det2, vec_from_json
 
@@ -74,12 +74,12 @@ class OrientedElement(TermMap):
     # ----- algebra structure -----
 
     def __mul__(self, other: "OrientedElement") -> "OrientedElement":
-        out: list[tuple[Vec2, LaurentPoly]] = []
-        for u, cu in self._terms:
-            for v, cv in other._terms:
-                key = (u[0] + v[0], u[1] + v[1])
-                out.append((key, (cu * cv).shifted(-det2(u, v))))
-        return OrientedElement.make(out)
+        maps: dict[Vec2, dict[int, int]] = {}
+        for (a, b), cu in self._terms:
+            ut = cu._terms
+            for (c, d), cv in other._terms:
+                add_product(maps.setdefault((a + c, b + d), {}), ut, cv._terms, b * c - a * d)
+        return OrientedElement(OrientedElement._sorted_nonzero(maps))
 
     def theta(self) -> "OrientedElement":
         """Reverse the orientation of every generator: key v -> -v."""
@@ -117,16 +117,16 @@ def psi(x: SkeinElement) -> OrientedElement:
         raise BasisMismatchError("psi expects a standard-basis element")
     for key in x.support():
         check_degree(key.multiplicity, "multiplicity")
-    out: list[tuple[Vec2, LaurentPoly]] = []
+    maps: dict[Vec2, dict[int, int]] = {}
     for key, coeff in x.terms():
         if key.is_empty:
-            out.append(((0, 0), coeff))
+            add_product(maps.setdefault((0, 0), {}), coeff._terms)
             continue
-        n, prim = key.split()
+        n, (p, q) = key.split()
         for k in range(n + 1):
             s = 2 * k - n
-            out.append(((s * prim[0], s * prim[1]), coeff * comb(n, k)))
-    return OrientedElement.make(out)
+            add_product(maps.setdefault((s * p, s * q), {}), coeff._terms, None, 0, comb(n, k))
+    return OrientedElement(OrientedElement._sorted_nonzero(maps))
 
 
 def psi_chebyshev(x: SkeinElement) -> OrientedElement:

@@ -14,7 +14,12 @@ Frohman and Gelca,
 with det = a*d - b*c.  Output indices are canonicalized into the half-plane
 (both orientations of a multicurve give the same unoriented class) and the
 degenerate index (0, 0)_T stands for 2 * empty.  Standard-basis products are
-computed by converting to the Chebyshev basis and back.
+computed by converting to the Chebyshev basis and back; the way back checks
+every degree it needs against chebyshev.MAX_DEGREE before any T_n is built.
+
+Products and basis changes here, like oriented products and psi, add every
+term pair into one bare {exponent: coeff} map per output key with
+laurent.add_product and wrap each map in a LaurentPoly once, at the end.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import chebyshev
-from .laurent import ZERO, LaurentPoly, join_signed, signed_monomial
-from .torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize, det2
+from .laurent import ZERO, LaurentPoly, add_product, join_signed, signed_monomial, wrap_nonzero
+from .torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize
 
 
 class Basis(str, Enum):
@@ -52,20 +57,41 @@ class TermMap:
 
     @classmethod
     def _collect(cls, terms) -> tuple:
-        """Merge equal keys, drop zero coefficients and sort by key order."""
+        """Merge equal keys, drop zero coefficients and sort by key order.
+
+        A key seen once keeps its coefficient as it is; a repeated key sums
+        into a bare map.
+        """
         acc: dict = {}
         normalize = cls._normalize_key
         items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
         for key, coeff in items:
             if normalize is not None:
                 key = normalize(key)
-            c = acc.get(key, ZERO) + coeff
-            if c.is_zero:
-                acc.pop(key, None)
-            else:
-                acc[key] = c
+            if type(coeff) is not LaurentPoly:
+                coeff = ZERO + coeff
+            prev = acc.get(key)
+            if prev is None:
+                acc[key] = coeff
+                continue
+            if type(prev) is not dict:
+                prev = acc[key] = dict(prev._terms)
+            add_product(prev, coeff._terms)
+        return cls._sorted_nonzero(acc)
+
+    @classmethod
+    def _sorted_nonzero(cls, acc: dict) -> tuple:
+        """The terms of ``acc`` (key -> LaurentPoly or bare map, which is
+        wrapped), zero coefficients dropped, sorted by key order."""
+        out = []
+        for key, c in acc.items():
+            if type(c) is dict:
+                c = wrap_nonzero(c)
+            if c:
+                out.append((key, c))
         order = cls._key_order
-        return tuple(sorted(acc.items(), key=lambda kv: order(kv[0])))
+        out.sort(key=lambda kv: order(kv[0]))
+        return tuple(out)
 
     def _like(self, terms):
         """An element of the same kind (and basis) with the given raw terms."""
@@ -195,22 +221,24 @@ class SkeinElement(TermMap):
         """Expand Chebyshev generators into standard multicurve classes."""
         if self.basis != Basis.CHEBYSHEV:
             raise BasisMismatchError("to_standard expects a Chebyshev-basis element")
+        for key, _ in self._terms:
+            chebyshev.check_degree(key.multiplicity, "Chebyshev index")
         return self._expand(Basis.STANDARD, lambda n: enumerate(chebyshev.chebyshev_t(n)))
 
     def _expand(self, target: Basis, expansion) -> "SkeinElement":
         # expansion(n) yields (j, c): the n-fold key is sum c * (j-fold key) in
         # the target basis, for the same primitive; the empty key is fixed.
-        out: list[tuple[UnorientedClass, LaurentPoly]] = []
+        maps: dict = {}
         for key, coeff in self._terms:
             if key.is_empty:
-                out.append((key, coeff))
+                add_product(maps.setdefault(None, {}), coeff._terms)
                 continue
-            n, prim = key.split()
+            n, (p, q) = key.split()
             for j, c in expansion(n):
                 if c:
-                    jkey = EMPTY if j == 0 else UnorientedClass((j * prim[0], j * prim[1]))
-                    out.append((jkey, coeff * c))
-        return SkeinElement.make(target, out)
+                    jvec = (j * p, j * q) if j else None
+                    add_product(maps.setdefault(jvec, {}), coeff._terms, None, 0, c)
+        return _from_vec_maps(target, maps)
 
     # ----- multiplication -----
 
@@ -244,33 +272,36 @@ def chebyshev_of(vec: Vec2) -> SkeinElement:
     return SkeinElement.generator(key, Basis.CHEBYSHEV).to_standard()
 
 
-def _generator_product(u: Vec2, v: Vec2) -> list[tuple[UnorientedClass, LaurentPoly]]:
-    d = det2(u, v)
-    out: list[tuple[UnorientedClass, LaurentPoly]] = []
-    for sign, w in ((1, (u[0] - v[0], u[1] - v[1])), (-1, (u[0] + v[0], u[1] + v[1]))):
-        coeff = LaurentPoly.monomial(1, sign * d)
-        if w == (0, 0):
-            out.append((EMPTY, coeff * 2))  # (0,0)_T stands for 2 * empty
-        else:
-            out.append((canonicalize(w)[0], coeff))
-    return out
-
-
 def _mul_chebyshev(x: SkeinElement, y: SkeinElement) -> SkeinElement:
-    out: list[tuple[UnorientedClass, LaurentPoly]] = []
-    for xkey, xc in x.terms():
-        for ykey, yc in y.terms():
-            c = xc * yc
-            if xkey.is_empty and ykey.is_empty:
-                out.append((EMPTY, c))
-            elif xkey.is_empty:
-                out.append((ykey, c))
-            elif ykey.is_empty:
-                out.append((xkey, c))
-            else:
-                for key, factor in _generator_product(xkey.vec, ykey.vec):
-                    out.append((key, c * factor))
-    return SkeinElement.make(Basis.CHEBYSHEV, out)
+    # Keys are canonical vectors, None for the empty class.  Each pair's
+    # coefficient product is added at A^det to (u - v) and at A^-det to
+    # (u + v), straight from the two operands' maps; (0, 0)_T lands on the
+    # empty class twice over.
+    maps: dict = {}
+    ys = [(k.vec, c._terms) for k, c in y._terms]
+    for xkey, xc in x._terms:
+        u, xt = xkey.vec, xc._terms
+        for v, yt in ys:
+            if u is None or v is None:  # the empty class is the unit
+                add_product(maps.setdefault(v if u is None else u, {}), xt, yt)
+                continue
+            d = u[0] * v[1] - u[1] * v[0]
+            for w, shift in (((u[0] - v[0], u[1] - v[1]), d), ((u[0] + v[0], u[1] + v[1]), -d)):
+                scale = 1
+                if w[0] < 0 or (w[0] == 0 and w[1] <= 0):
+                    if w[0] or w[1]:
+                        w = (-w[0], -w[1])
+                    else:
+                        w, scale = None, 2
+                add_product(maps.setdefault(w, {}), xt, yt, shift, scale)
+    return _from_vec_maps(Basis.CHEBYSHEV, maps)
+
+
+def _from_vec_maps(basis: Basis, maps: dict) -> SkeinElement:
+    """The element whose coefficients are the bare maps of ``maps``, keyed by
+    canonical vector (None: the empty class)."""
+    keyed = {EMPTY if vec is None else UnorientedClass(vec): m for vec, m in maps.items()}
+    return SkeinElement(basis, SkeinElement._sorted_nonzero(keyed))
 
 
 def format_terms(terms, suffix: str = "", key_str=str) -> str:

@@ -2,6 +2,10 @@
 
 ``psi_oracle`` enumerates all 2^n orientations of a class, the definition
 that ``oriented.psi``'s binomial closed form must reproduce.
+``mul_chebyshev``, ``to_chebyshev``, ``to_standard``, ``oriented_mul`` and
+``psi`` are the fast algebra written term by term in LaurentPoly arithmetic,
+merged with LaurentPoly addition: the formulas the bare-map accumulation of
+``skein`` and ``oriented`` must reproduce.
 ``evaluate_laurent`` substitutes a Laurent polynomial into an integer
 polynomial.  ``roundtrip_sweep`` draws random elements and checks that the
 basis changes and psi/psi_inverse are exact mutual inverses.
@@ -10,13 +14,14 @@ basis changes and psi/psi_inverse are exact mutual inverses.
 from __future__ import annotations
 
 import random
-from math import gcd
+from math import comb, gcd
 
+from toruskein import chebyshev
 from toruskein.chebyshev import IntPoly
-from toruskein.laurent import LaurentPoly
+from toruskein.laurent import ZERO, LaurentPoly
 from toruskein.oriented import OrientedElement, psi_chebyshev, psi_inverse
 from toruskein.skein import Basis, SkeinElement
-from toruskein.torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize
+from toruskein.torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize, det2
 from toruskein.verify import SweepResult
 
 
@@ -36,6 +41,83 @@ def psi_oracle(cls: UnorientedClass) -> OrientedElement:
         net = n - 2 * bin(assignment).count("1")
         terms.append(((net * prim[0], net * prim[1]), LaurentPoly.one()))
     return OrientedElement.make(terms)
+
+
+def _merged(pairs) -> dict:
+    """Sum equal keys with LaurentPoly addition and drop zero coefficients."""
+    acc: dict = {}
+    for key, coeff in pairs:
+        acc[key] = acc.get(key, ZERO) + coeff
+    return {key: coeff for key, coeff in acc.items() if not coeff.is_zero}
+
+
+def mul_chebyshev(x: SkeinElement, y: SkeinElement) -> SkeinElement:
+    """The product-to-sum formula, one LaurentPoly product per term pair."""
+    out: list[tuple[UnorientedClass, LaurentPoly]] = []
+    for xkey, xc in x.terms():
+        for ykey, yc in y.terms():
+            c = xc * yc
+            if xkey.is_empty or ykey.is_empty:
+                out.append((ykey if xkey.is_empty else xkey, c))
+                continue
+            u, v = xkey.vec, ykey.vec
+            d = det2(u, v)
+            for sign, w in ((1, (u[0] - v[0], u[1] - v[1])), (-1, (u[0] + v[0], u[1] + v[1]))):
+                factor = LaurentPoly.monomial(1, sign * d)
+                if w == (0, 0):
+                    out.append((EMPTY, c * factor * 2))  # (0,0)_T stands for 2 * empty
+                else:
+                    out.append((canonicalize(w)[0], c * factor))
+    return SkeinElement.make(Basis.CHEBYSHEV, _merged(out))
+
+
+def _expand(x: SkeinElement, target: Basis, expansion) -> SkeinElement:
+    out: list[tuple[UnorientedClass, LaurentPoly]] = []
+    for key, coeff in x.terms():
+        if key.is_empty:
+            out.append((key, coeff))
+            continue
+        n, prim = key.split()
+        for j, c in expansion(n):
+            if c:
+                jkey = EMPTY if j == 0 else UnorientedClass((j * prim[0], j * prim[1]))
+                out.append((jkey, coeff * c))
+    return SkeinElement.make(target, _merged(out))
+
+
+def to_chebyshev(x: SkeinElement) -> SkeinElement:
+    return _expand(x, Basis.CHEBYSHEV, lambda n: chebyshev.power_to_chebyshev(n).items())
+
+
+def to_standard(x: SkeinElement) -> SkeinElement:
+    return _expand(x, Basis.STANDARD, lambda n: enumerate(chebyshev.chebyshev_t(n)))
+
+
+def mul_standard(x: SkeinElement, y: SkeinElement) -> SkeinElement:
+    return to_standard(mul_chebyshev(to_chebyshev(x), to_chebyshev(y)))
+
+
+def oriented_mul(x: OrientedElement, y: OrientedElement) -> OrientedElement:
+    """The quantum-torus rule, one LaurentPoly product per term pair."""
+    out: list[tuple[Vec2, LaurentPoly]] = []
+    for u, cu in x.terms():
+        for v, cv in y.terms():
+            out.append(((u[0] + v[0], u[1] + v[1]), (cu * cv).shifted(-det2(u, v))))
+    return OrientedElement.make(_merged(out))
+
+
+def psi(x: SkeinElement) -> OrientedElement:
+    """The binomial closed form of psi, one LaurentPoly product per orientation count."""
+    out: list[tuple[Vec2, LaurentPoly]] = []
+    for key, coeff in x.terms():
+        if key.is_empty:
+            out.append(((0, 0), coeff))
+            continue
+        n, prim = key.split()
+        for k in range(n + 1):
+            s = 2 * k - n
+            out.append(((s * prim[0], s * prim[1]), coeff * comb(n, k)))
+    return OrientedElement.make(_merged(out))
 
 
 def evaluate_laurent(poly: IntPoly, value: LaurentPoly) -> LaurentPoly:

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from references import evaluate_laurent
@@ -32,6 +34,27 @@ class TestChebyshevT:
         assert len(chebyshev_t(MAX_DEGREE)) == MAX_DEGREE + 1
         with pytest.raises(ValueError, match="limit"):
             chebyshev_t(MAX_DEGREE + 1)
+
+
+    def test_table_fills_in_any_order(self):
+        expected = [[2], [0, 1]]
+        for _ in range(2, 402):  # T_n = X T_(n-1) - T_(n-2), on lists
+            prev, cur = expected[-2], expected[-1]
+            expected.append([0, *cur])
+            for i, c in enumerate(prev):
+                expected[-1][i] -= c
+        for order in ([400, 0, 1, 401, 7], [1, 3, 0, 250, 2, 400], [399]):
+            chebyshev_t.cache_clear()  # each order starts cold and must recompute
+            for n in order:
+                assert chebyshev_t(n) == tuple(expected[n])
+            assert all(chebyshev_t(n) == tuple(expected[n]) for n in range(402))
+
+    def test_cold_table_is_quadratic(self):
+        chebyshev_t.cache_clear()
+        start = time.process_time()
+        chebyshev_t(MAX_DEGREE)  # a deep recursion would fail, a cubic fill take seconds
+        assert time.process_time() - start < 2.0
+        assert chebyshev_t.cache_info().misses == MAX_DEGREE + 1  # each degree computed once
 
 
 class TestPowerToChebyshev:

@@ -1,9 +1,10 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from toruskein import verify
+from toruskein import chebyshev, verify
 from toruskein.cli import run
 from toruskein.oriented import OrientedElement, psi
 from toruskein.skein import Basis, SkeinElement
@@ -209,6 +210,27 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "limit" in err
 
+    def test_degree_limit_is_checked_before_the_product(self, capsys):
+        start = time.process_time()
+        code, out, err = invoke(capsys, "mul", "(1024,0)", "(2,0)")
+        assert (code, out) == (1, "")
+        assert err == "error: Chebyshev index 1026 exceeds the limit of 1024 on Chebyshev degrees\n"
+        assert time.process_time() - start < 1.0
+
+    def test_degree_limit_is_checked_before_the_expansion(self, capsys):
+        big = {"basis": "chebyshev", "terms": [{"class": [1, 0], "coeff": {"0": 1}},
+                                               {"class": [1025, 0], "coeff": {"0": 1}}]}
+        code, out, err = invoke(capsys, "convert", "--to", "standard", json.dumps(big))
+        assert (code, out) == (1, "")
+        assert "Chebyshev index 1025 exceeds the limit of 1024" in err
+
+    def test_large_degrees_below_the_limit_are_cheap(self, capsys):
+        chebyshev.chebyshev_t.cache_clear()  # T_0 .. T_1002 from cold
+        start = time.process_time()
+        code, out, _ = invoke(capsys, "mul", "(1000,0)", "(2,0)")
+        assert (code, out) == (0, "(1002,0)\n")
+        assert time.process_time() - start < 3.0
+
     def test_bad_vector(self, capsys):
         code, _, err = invoke(capsys, "mul", "(1,0)", "nonsense")
         assert code == 1 and "error:" in err
@@ -226,9 +248,20 @@ class TestErrors:
              "terms[0].gamma: expected an integer, got True"),
             ("psi", '{"basis":"standard","terms":[{"class":[1,0],"coeff":{"0":"5"}}]}',
              "terms[0].coeff: expected an integer, got '5'"),
+            ("psi", '{"basis":"standard","terms":[{"class":[1,0],"coeff":{"3_0":1}}]}',
+             "terms[0].coeff: expected an integer exponent key, got '3_0'"),
+            ("psi", '{"basis":"standard","terms":[{"class":[1,0],"coeff":{" -2 ":1}}]}',
+             "terms[0].coeff: expected an integer exponent key, got ' -2 '"),
+            ("psi-inv", '{"terms":[{"gamma":[1,0],"coeff":{"\u0663":1}}]}',
+             "terms[0].coeff: expected an integer exponent key, got '\u0663'"),
+            ("psi", '{"basis":"standard","terms":[{"class":[1,0],"coeff":{"-":1,"3":1}}]}',
+             "terms[0].coeff: expected an integer exponent key, got '-'"),
+            ("psi", '{"basis":"standard","terms":[{"class":[1,0],"coeff":{"2":1,"":1}}]}',
+             "terms[0].coeff: expected an integer exponent key, got ''"),
         ],
         ids=["not-json", "no-terms", "short-gamma", "standard-no-terms", "float-class",
-             "bool-gamma", "string-coeff"],
+             "bool-gamma", "string-coeff", "underscore-exponent", "spaced-exponent",
+             "non-ascii-exponent", "bare-minus-exponent", "empty-exponent"],
     )
     def test_bad_json(self, capsys, verb, text, where):
         code, out, err = invoke(capsys, verb, text)

@@ -11,7 +11,7 @@ from pathlib import Path
 import toruskein
 from toruskein import smoothing_oracle
 
-FAST_PATH_NAMES = {"_mul_chebyshev", "_generator_product", "gamma_mul", "power_to_chebyshev"}
+FAST_PATH_NAMES = {"_mul_chebyshev", "gamma_mul", "power_to_chebyshev"}
 
 
 def _oracle_tree() -> ast.Module:

@@ -134,6 +134,15 @@ class TestStandardProduct:
         x, y = cheb((2, 1)), cheb((1, -1))
         assert y * x == (x * y).map_coefficients(lambda c: c.mirror())
 
+    def test_a_cancelled_class_above_the_degree_limit_is_not_refused(self):
+        # (512,1)*(514,-1) and (513,0)*(513,0) both reach (1026,0), past
+        # chebyshev.MAX_DEGREE, with coefficients A^1026 and -A^1026.
+        x = elem(Basis.CHEBYSHEV, {UnorientedClass((512, 1)): "1", UnorientedClass((513, 0)): "-A^1026"})
+        y = elem(Basis.CHEBYSHEV, {UnorientedClass((514, -1)): "1", UnorientedClass((513, 0)): "1"})
+        product = x.to_standard() * y.to_standard()
+        assert product == (x * y).to_standard()
+        assert max(key.multiplicity for key in product.support()) == 2
+
 
 class TestSerialization:
     def test_str_matches_documented_form(self):
