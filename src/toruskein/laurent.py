@@ -13,6 +13,9 @@ circle value delta).  JSON form: an object mapping exponent strings (ASCII
 The fast algebra and the state sums accumulate into bare {exponent: coeff}
 maps with ``add_product`` (``circle_step`` for a power of delta) and turn each
 finished map into a polynomial once (the fast algebra with ``wrap_nonzero``).
+Sums of whole coefficients (basis changes, psi, merging equal keys) go through
+``accumulate``, which keeps a coefficient that lands once, unscaled, as the
+same object and copies it only when a second one lands on its key.
 """
 
 from __future__ import annotations
@@ -286,9 +289,10 @@ def add_product(
 ) -> None:
     """acc += scale * A^shift * x * y on bare {exponent: coeff} maps (no y: 1).
 
-    This is the package's one accumulation step: the fast algebra's products,
-    basis changes and psi and the state sums add into such maps, zero entries
-    and all, and turn each finished map into a polynomial once.
+    This is the package's one accumulation loop: the fast algebra's products
+    and the state sums add into such maps, zero entries and all (``accumulate``
+    adds whole coefficients through it), and turn each finished map into a
+    polynomial once.
     """
     if y is None:
         y = _ONE._terms
@@ -298,6 +302,24 @@ def add_product(
         for e, c in x.items():
             e += ey
             acc[e] = acc.get(e, 0) + c * cy
+
+
+def accumulate(maps: dict, key, poly: LaurentPoly, scale: int = 1) -> None:
+    """maps[key] += scale * poly, where the values of ``maps`` are LaurentPolys
+    or bare {exponent: coeff} maps (the fast algebra's term maps).
+
+    The first hit on a key at scale 1 stores ``poly`` itself; a repeat first
+    copies it into a bare map, so no caller's polynomial is ever written into.
+    """
+    prev = maps.get(key)
+    if prev is None:
+        if scale == 1:
+            maps[key] = poly
+            return
+        prev = maps[key] = {}
+    elif type(prev) is not dict:
+        prev = maps[key] = dict(prev._terms)
+    add_product(prev, poly._terms, None, 0, scale)
 
 
 def wrap_nonzero(acc: dict[int, int]) -> LaurentPoly:

@@ -20,7 +20,7 @@ from math import comb
 from typing import Iterable, Mapping
 
 from .chebyshev import check_degree
-from .laurent import LaurentPoly, add_product
+from .laurent import LaurentPoly, accumulate, add_product
 from .skein import Basis, BasisMismatchError, SkeinElement, TermMap, format_terms
 from .torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize, det2, vec_from_json
 
@@ -117,15 +117,15 @@ def psi(x: SkeinElement) -> OrientedElement:
         raise BasisMismatchError("psi expects a standard-basis element")
     for key in x.support():
         check_degree(key.multiplicity, "multiplicity")
-    maps: dict[Vec2, dict[int, int]] = {}
+    maps: dict = {}
     for key, coeff in x.terms():
         if key.is_empty:
-            add_product(maps.setdefault((0, 0), {}), coeff._terms)
+            accumulate(maps, (0, 0), coeff)
             continue
         n, (p, q) = key.split()
         for k in range(n + 1):
             s = 2 * k - n
-            add_product(maps.setdefault((s * p, s * q), {}), coeff._terms, None, 0, comb(n, k))
+            accumulate(maps, (s * p, s * q), coeff, comb(n, k))
     return OrientedElement(OrientedElement._sorted_nonzero(maps))
 
 

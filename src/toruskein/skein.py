@@ -17,19 +17,27 @@ degenerate index (0, 0)_T stands for 2 * empty.  Standard-basis products are
 computed by converting to the Chebyshev basis and back; the way back checks
 every degree it needs against chebyshev.MAX_DEGREE before any T_n is built.
 
-Products and basis changes here, like oriented products and psi, add every
-term pair into one bare {exponent: coeff} map per output key with
-laurent.add_product and wrap each map in a LaurentPoly once, at the end.
+Products, like oriented products, add every term pair into one bare
+{exponent: coeff} map per output key with laurent.add_product and wrap each
+map in a LaurentPoly once, at the end.  Basis changes, like psi, add whole
+coefficients with laurent.accumulate: a coefficient that lands alone on its
+key, unscaled, is passed through as the same object, which is every
+primitive class's.  A standard-basis element made by ``to_standard`` keeps
+the Chebyshev element it was expanded from, and ``to_chebyshev`` returns it,
+so a chain of standard products converts each operand once.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import chebyshev
-from .laurent import ZERO, LaurentPoly, add_product, join_signed, signed_monomial, wrap_nonzero
+from .laurent import (
+    ZERO, LaurentPoly, accumulate, add_product, join_signed, signed_monomial, wrap_nonzero,
+)
 from .torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize
 
 
@@ -60,7 +68,7 @@ class TermMap:
         """Merge equal keys, drop zero coefficients and sort by key order.
 
         A key seen once keeps its coefficient as it is; a repeated key sums
-        into a bare map.
+        into a bare map (``accumulate``).
         """
         acc: dict = {}
         normalize = cls._normalize_key
@@ -70,13 +78,7 @@ class TermMap:
                 key = normalize(key)
             if type(coeff) is not LaurentPoly:
                 coeff = ZERO + coeff
-            prev = acc.get(key)
-            if prev is None:
-                acc[key] = coeff
-                continue
-            if type(prev) is not dict:
-                prev = acc[key] = dict(prev._terms)
-            add_product(prev, coeff._terms)
+            accumulate(acc, key, coeff)
         return cls._sorted_nonzero(acc)
 
     @classmethod
@@ -93,10 +95,6 @@ class TermMap:
         out.sort(key=lambda kv: order(kv[0]))
         return tuple(out)
 
-    def _like(self, terms):
-        """An element of the same kind (and basis) with the given raw terms."""
-        return replace(self, _terms=self._collect(terms))
-
     def _check_compatible(self, other) -> None:
         """Raise if ``other`` cannot be added to this element."""
 
@@ -106,9 +104,10 @@ class TermMap:
         return self._terms
 
     def coefficient(self, key) -> LaurentPoly:
-        for k, c in self._terms:
-            if k == key:
-                return c
+        terms, order = self._terms, self._key_order
+        i = bisect_left(terms, order(key), key=lambda kv: order(kv[0]))
+        if i < len(terms) and terms[i][0] == key:
+            return terms[i][1]
         return ZERO
 
     @property
@@ -124,16 +123,25 @@ class TermMap:
         if type(other) is not type(self):
             return NotImplemented
         self._check_compatible(other)
-        return self._like(self._terms + other._terms)
+        return replace(self, _terms=self._collect(self._terms + other._terms))
 
     def __sub__(self, other):
         return self + other.scaled(-1)
 
     def scaled(self, factor: LaurentPoly | int):
-        return self._like([(k, c * factor) for k, c in self._terms])
+        return self.map_coefficients(lambda c: c * factor)
 
     def map_coefficients(self, fn):
-        return self._like([(k, fn(c)) for k, c in self._terms])
+        """``fn`` applied to every coefficient; a key whose result is 0 goes.
+        The keys stay distinct and sorted, so nothing is merged."""
+        out = []
+        for k, c in self._terms:
+            c = fn(c)
+            if type(c) is not LaurentPoly:
+                c = ZERO + c
+            if c:
+                out.append((k, c))
+        return replace(self, _terms=tuple(out))
 
     # ----- JSON form -----
 
@@ -179,6 +187,8 @@ class SkeinElement(TermMap):
 
     basis: Basis
     _terms: tuple[tuple[UnorientedClass, LaurentPoly], ...] = field(default=())
+    # Set once, by to_standard only: the Chebyshev element this one expands.
+    _chebyshev: SkeinElement | None = field(default=None, init=False, compare=False, repr=False)
 
     _key_order = staticmethod(UnorientedClass.sort_key)
     _JSON_KEY = "class"
@@ -215,6 +225,8 @@ class SkeinElement(TermMap):
         """Rewrite a standard-basis element over the Chebyshev generators."""
         if self.basis != Basis.STANDARD:
             raise BasisMismatchError("to_chebyshev expects a standard-basis element")
+        if self._chebyshev is not None:
+            return self._chebyshev
         return self._expand(Basis.CHEBYSHEV, lambda n: chebyshev.power_to_chebyshev(n).items())
 
     def to_standard(self) -> "SkeinElement":
@@ -223,7 +235,9 @@ class SkeinElement(TermMap):
             raise BasisMismatchError("to_standard expects a Chebyshev-basis element")
         for key, _ in self._terms:
             chebyshev.check_degree(key.multiplicity, "Chebyshev index")
-        return self._expand(Basis.STANDARD, lambda n: enumerate(chebyshev.chebyshev_t(n)))
+        out = self._expand(Basis.STANDARD, lambda n: enumerate(chebyshev.chebyshev_t(n)))
+        object.__setattr__(out, "_chebyshev", self)
+        return out
 
     def _expand(self, target: Basis, expansion) -> "SkeinElement":
         # expansion(n) yields (j, c): the n-fold key is sum c * (j-fold key) in
@@ -231,13 +245,12 @@ class SkeinElement(TermMap):
         maps: dict = {}
         for key, coeff in self._terms:
             if key.is_empty:
-                add_product(maps.setdefault(None, {}), coeff._terms)
+                accumulate(maps, None, coeff)
                 continue
             n, (p, q) = key.split()
             for j, c in expansion(n):
                 if c:
-                    jvec = (j * p, j * q) if j else None
-                    add_product(maps.setdefault(jvec, {}), coeff._terms, None, 0, c)
+                    accumulate(maps, (j * p, j * q) if j else None, coeff, c)
         return _from_vec_maps(target, maps)
 
     # ----- multiplication -----
@@ -298,8 +311,8 @@ def _mul_chebyshev(x: SkeinElement, y: SkeinElement) -> SkeinElement:
 
 
 def _from_vec_maps(basis: Basis, maps: dict) -> SkeinElement:
-    """The element whose coefficients are the bare maps of ``maps``, keyed by
-    canonical vector (None: the empty class)."""
+    """The element whose coefficients are the values of ``maps`` (bare maps or
+    LaurentPolys), keyed by canonical vector (None: the empty class)."""
     keyed = {EMPTY if vec is None else UnorientedClass(vec): m for vec, m in maps.items()}
     return SkeinElement(basis, SkeinElement._sorted_nonzero(keyed))
 

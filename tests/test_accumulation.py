@@ -1,21 +1,21 @@
 """The bare-map accumulation of the fast algebra against the term-by-term
 LaurentPoly formulas in ``references``: products in both bases, both basis
-changes, oriented products and psi, on elements whose coefficients cancel."""
+changes, oriented products and psi, on elements whose coefficients cancel.
+Also the two ways it avoids copies: a coefficient that lands alone on its key
+passes through as the same object and is never written into, and a
+standard-basis element made by ``to_standard`` keeps its Chebyshev form."""
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import references as ref
+from references import BOUNDED, coeffs
 
-from toruskein.laurent import LaurentPoly
+from toruskein.laurent import LaurentPoly, accumulate
 from toruskein.oriented import OrientedElement, psi
 from toruskein.skein import Basis, SkeinElement
 from toruskein.torus_curves import EMPTY, UnorientedClass, canonicalize
 
-BOUNDED = settings(max_examples=60, deadline=None, derandomize=True)
-
-# Short coefficients over few exponents, so sums cancel often; zero included.
-coeffs = st.dictionaries(st.integers(-2, 2), st.integers(-2, 2), max_size=3).map(LaurentPoly)
 # Small classes, so u == v (a (0,0)_T hit) and coinciding outputs are common.
 classes = st.one_of(
     st.just(EMPTY),
@@ -110,3 +110,112 @@ def test_repeated_keys_keep_their_operands_unchanged():
     assert (a.to_json(), b.to_json()) == ({"0": 2, "1": 1}, {"1": -1})
     once = SkeinElement.make(Basis.STANDARD, [(key, a)])
     assert once.coefficient(key) is a  # a key seen once keeps its coefficient
+
+
+def std(terms: dict) -> SkeinElement:
+    return SkeinElement.make(Basis.STANDARD, {UnorientedClass(k): LaurentPoly.parse(c) for k, c in terms.items()})
+
+
+def test_accumulate_stores_a_lone_unscaled_hit_and_copies_on_a_repeat():
+    a, b = LaurentPoly.parse("A + 2"), LaurentPoly.parse("-A")
+    maps: dict = {}
+    accumulate(maps, "k", a)
+    assert maps["k"] is a
+    accumulate(maps, "k", b, 3)
+    assert maps["k"] == {1: -2, 0: 2} and type(maps["k"]) is dict
+    accumulate(maps, "j", b, 2)
+    assert maps["j"] == {1: -2}
+    assert (a.to_json(), b.to_json()) == ({"0": 2, "1": 1}, {"1": -1})
+
+
+# ----- pass-through -----
+
+
+def test_a_primitive_coefficient_passes_through_as_the_same_object():
+    a, b, e = LaurentPoly.parse("A + 2"), LaurentPoly.parse("-A^3"), LaurentPoly.parse("A^-1")
+    terms = {UnorientedClass((1, 0)): a, UnorientedClass((2, 3)): b, EMPTY: e}
+    x, xt = SkeinElement.make(Basis.STANDARD, terms), SkeinElement.make(Basis.CHEBYSHEV, terms)
+    for image in (x.to_chebyshev(), xt.to_standard()):
+        assert all(image.coefficient(k) is c for k, c in terms.items())
+    image = psi(x)
+    for key, c in (((1, 0), a), ((-1, 0), a), ((2, 3), b), ((-2, -3), b), ((0, 0), e)):
+        assert image.coefficient(key) is c
+
+
+def test_a_later_hit_on_a_passed_through_key_copies_it():
+    # X^3 = T_3 + 3 T_1, T_3 = X^3 - 3X and psi of (3,0) is g(3,0) + 3 g(1,0) + ...:
+    # the (3,0) term lands on the key (1,0) after (1,0)'s own coefficient.
+    a, b = LaurentPoly.parse("A + 2"), LaurentPoly.parse("-A^2 + 1")
+    terms = [(UnorientedClass((1, 0)), a), (UnorientedClass((3, 0)), b)]
+    x, xt = SkeinElement.make(Basis.STANDARD, terms), SkeinElement.make(Basis.CHEBYSHEV, terms)
+    before = (a.to_json(), b.to_json(), x.to_json(), xt.to_json())
+    assert_same(x.to_chebyshev(), ref.to_chebyshev(x))
+    assert_same(xt.to_standard(), ref.to_standard(xt))
+    assert_same(psi(x), ref.psi(x))
+    assert x.to_chebyshev().coefficient(UnorientedClass((1, 0))) == a + 3 * b
+    assert (a.to_json(), b.to_json(), x.to_json(), xt.to_json()) == before
+
+
+@BOUNDED
+@given(skein_terms)
+def test_no_operand_is_written_into_by_a_chain_of_basis_changes(ts):
+    x = SkeinElement.make(Basis.STANDARD, ts)
+    coeffs_before = [c.to_json() for _k, c in x.terms()]
+    c = x.to_chebyshev()
+    s = c.to_standard()
+    p = psi(s)
+    assert s == x
+    assert c == ref.to_chebyshev(x)
+    assert p == ref.psi(x)
+    assert [coeff.to_json() for _k, coeff in x.terms()] == coeffs_before
+
+
+# ----- the retained Chebyshev form -----
+
+
+@BOUNDED
+@given(skein_terms)
+def test_to_chebyshev_returns_the_element_to_standard_expanded(ts):
+    c = SkeinElement.make(Basis.CHEBYSHEV, ts)
+    assert c.to_standard().to_chebyshev() is c
+
+
+def test_no_other_operation_keeps_the_chebyshev_form():
+    c = cheb({(1, 0): "A", (2, 1): "-1", None: "2"})
+    s = c.to_standard()
+    assert s._chebyshev is c
+    made = (
+        s + s, s - s, s.scaled(2), s.scaled(1), s.scaled(LaurentPoly.parse("A")),
+        s.map_coefficients(lambda k: k), SkeinElement.make(Basis.STANDARD, s.terms()),
+        SkeinElement.from_json(s.to_json()), s.to_chebyshev(), std({(1, 0): "A"}).to_chebyshev(),
+    )
+    assert [m._chebyshev for m in made] == [None] * len(made)
+
+
+def test_the_kept_form_is_invisible():
+    s = cheb({(1, 0): "A", (2, 1): "-1", None: "2"}).to_standard()
+    plain = SkeinElement.make(Basis.STANDARD, s.terms())
+    assert plain._chebyshev is None
+    assert s == plain and not s != plain
+    assert (hash(s), repr(s), str(s), s.to_json()) == (hash(plain), repr(plain), str(plain), plain.to_json())
+    assert {s: 1}[plain] == 1
+
+
+def test_psi_reads_only_the_terms():
+    x = std({(1, 0): "A", (2, 0): "-1"})
+    object.__setattr__(x, "_chebyshev", SkeinElement.zero(Basis.CHEBYSHEV))
+    assert_same(psi(x), ref.psi(std({(1, 0): "A", (2, 0): "-1"})))
+
+
+@BOUNDED
+@given(skein_terms, skein_terms, skein_terms)
+def test_standard_chains_match_the_term_by_term_formula(xs, ys, zs):
+    x, y, z = (SkeinElement.make(Basis.STANDARD, ts) for ts in (xs, ys, zs))
+    before = (x.to_json(), y.to_json(), z.to_json())
+    xy = x * y
+    slow = ref.mul_standard(x, y)
+    assert_same(xy.to_chebyshev(), ref.to_chebyshev(slow))
+    assert_same(ref.rebuilt(xy).to_chebyshev(), ref.to_chebyshev(slow))
+    assert_same(xy * z, ref.mul_standard(slow, z))
+    assert_same(z * xy, ref.mul_standard(z, slow))
+    assert (x.to_json(), y.to_json(), z.to_json()) == before

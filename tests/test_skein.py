@@ -2,13 +2,21 @@ import random
 import types
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from references import random_skein
+from references import BOUNDED, coeffs, random_skein, rebuilt
 
-from toruskein.laurent import LaurentPoly
+from toruskein.laurent import ZERO, LaurentPoly
+from toruskein.oriented import OrientedElement
 from toruskein.skein import Basis, BasisMismatchError, SkeinElement, chebyshev_of
-from toruskein.torus_curves import EMPTY, UnorientedClass
+from toruskein.torus_curves import EMPTY, UnorientedClass, canonicalize
 from toruskein.verify import canonical_classes
+
+vecs = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+classes = vecs.map(lambda v: canonicalize(v)[0])  # (0, 0) gives the empty class
+skein_elements = st.builds(SkeinElement.make, st.sampled_from(Basis), st.lists(st.tuples(classes, coeffs), max_size=8))
+oriented_elements = st.builds(OrientedElement.make, st.lists(st.tuples(vecs, coeffs), max_size=8))
 
 
 def std(vec):
@@ -68,7 +76,7 @@ class TestBasisChange:
             x = random_skein(rng, Basis.STANDARD)
             assert x.to_chebyshev().to_standard() == x
             y = random_skein(rng, Basis.CHEBYSHEV)
-            assert y.to_standard().to_chebyshev() == y
+            assert rebuilt(y.to_standard()).to_chebyshev() == y
 
 
 class TestChebyshevProduct:
@@ -125,7 +133,7 @@ class TestStandardProduct:
         rng = random.Random(23)
         for _ in range(60):
             x, y, z = (std(rng.choice(classes).vec) for _ in range(3))
-            assert (x * y) * z == x * (y * z)
+            assert (x * y) * z == x * (y * z) == rebuilt(x * y) * z == x * rebuilt(y * z)
 
     def test_noncommutativity_witness(self):
         assert std((1, 0)) * std((0, 1)) != std((0, 1)) * std((1, 0))
@@ -139,7 +147,7 @@ class TestStandardProduct:
         # chebyshev.MAX_DEGREE, with coefficients A^1026 and -A^1026.
         x = elem(Basis.CHEBYSHEV, {UnorientedClass((512, 1)): "1", UnorientedClass((513, 0)): "-A^1026"})
         y = elem(Basis.CHEBYSHEV, {UnorientedClass((514, -1)): "1", UnorientedClass((513, 0)): "1"})
-        product = x.to_standard() * y.to_standard()
+        product = rebuilt(x.to_standard()) * rebuilt(y.to_standard())
         assert product == (x * y).to_standard()
         assert max(key.multiplicity for key in product.support()) == 2
 
@@ -167,3 +175,97 @@ class TestSerialization:
         assert x.terms() == ()
         y = std((1, 0)) + std((0, 1)).scaled(0)
         assert y.support() == (UnorientedClass((1, 0)),)
+
+
+def linear_scan(element, key):
+    return next((c for k, c in element.terms() if k == key), ZERO)
+
+
+class TestCoefficient:
+    def test_every_stored_key_is_found(self):
+        x = elem(Basis.STANDARD, {UnorientedClass((v, 1)): f"A^{v}" for v in range(1, 40)})
+        for key, coeff in x.terms():
+            assert x.coefficient(key) is coeff
+
+    def test_misses_before_between_and_after_the_keys(self):
+        x = elem(Basis.CHEBYSHEV, {UnorientedClass((1, 0)): "1", UnorientedClass((3, 0)): "A"})
+        for vec in ((0, 1), (2, 0), (3, -1), (4, 0)):
+            assert x.coefficient(UnorientedClass(vec)) == ZERO
+        assert x.coefficient(EMPTY) == ZERO
+        assert SkeinElement.zero(Basis.STANDARD).coefficient(UnorientedClass((1, 0))) == ZERO
+
+    def test_the_empty_class_sorts_last(self):
+        x = elem(Basis.STANDARD, {EMPTY: "-2", UnorientedClass((5, 7)): "A", UnorientedClass((0, 1)): "3"})
+        assert x.support()[-1] == EMPTY
+        assert x.coefficient(EMPTY) == LaurentPoly.parse("-2")
+        assert x.coefficient(UnorientedClass((5, 7))) == LaurentPoly.parse("A")
+
+    def test_the_oriented_unit_key_sorts_last(self):
+        x = OrientedElement.make({(0, 0): LaurentPoly.parse("A"), (-1, 5): LaurentPoly.one(), (2, -3): LaurentPoly.parse("2")})
+        assert x.support()[-1] == (0, 0)
+        assert x.coefficient((0, 0)) == LaurentPoly.parse("A")
+        assert x.coefficient((-1, 5)) == LaurentPoly.one()
+        assert x.coefficient((1, 5)) == ZERO
+        assert OrientedElement.gamma((1, 0)).coefficient((0, 0)) == ZERO
+
+    @BOUNDED
+    @given(skein_elements, classes)
+    def test_skein_lookup_matches_a_linear_scan(self, x, key):
+        assert x.coefficient(key) == linear_scan(x, key)
+        for k, _ in x.terms():
+            assert x.coefficient(k) is linear_scan(x, k)
+
+    @BOUNDED
+    @given(oriented_elements, vecs)
+    def test_oriented_lookup_matches_a_linear_scan(self, x, key):
+        assert x.coefficient(key) == linear_scan(x, key)
+        for k, _ in x.terms():
+            assert x.coefficient(k) is linear_scan(x, k)
+
+
+class TestScaling:
+    @BOUNDED
+    @given(st.one_of(skein_elements, oriented_elements))
+    def test_scaling_by_zero_gives_zero(self, x):
+        assert x.scaled(0).is_zero
+        assert x.scaled(ZERO).is_zero
+
+    @BOUNDED
+    @given(st.one_of(skein_elements, oriented_elements), st.one_of(st.integers(-3, 3), coeffs))
+    def test_results_equal_the_make_route(self, x, factor):
+        before = x.to_json()
+        negated = x.scaled(-1)
+        assert negated == x.map_coefficients(lambda c: -c) == _remade(x, [(k, -c) for k, c in x.terms()])
+        assert (x + negated).is_zero and (x - x).is_zero
+        scaled, remade = x.scaled(factor), _remade(x, [(k, c * factor) for k, c in x.terms()])
+        assert scaled == remade and scaled.to_json() == remade.to_json()
+        assert x.to_json() == before
+
+    @BOUNDED
+    @given(skein_elements, skein_elements)
+    def test_subtraction_equals_the_make_route(self, x, y):
+        if x.basis != y.basis:
+            y = SkeinElement.make(x.basis, y.terms())
+        before = (x.to_json(), y.to_json())
+        assert x - y == SkeinElement.make(x.basis, list(x.terms()) + [(k, -c) for k, c in y.terms()])
+        assert (x.to_json(), y.to_json()) == before
+
+    def test_a_zero_result_drops_its_key(self):
+        x = elem(Basis.STANDARD, {UnorientedClass((1, 0)): "A", UnorientedClass((0, 1)): "2", EMPTY: "A - 1"})
+        kept = x.map_coefficients(lambda c: 0 if c == LaurentPoly.parse("A") else c.shifted(1))
+        assert kept.terms() == (
+            (UnorientedClass((0, 1)), LaurentPoly.parse("2A")),
+            (EMPTY, LaurentPoly.parse("A^2 - A")),
+        )
+        assert x.map_coefficients(lambda c: ZERO).terms() == ()
+        assert x.map_coefficients(lambda c: 3).coefficient(EMPTY) == LaurentPoly.parse("3")
+
+    def test_a_non_ring_factor_is_refused(self):
+        with pytest.raises(TypeError):
+            std((1, 0)).scaled(1.5)
+
+
+def _remade(x, terms):
+    if isinstance(x, SkeinElement):
+        return SkeinElement.make(x.basis, terms)
+    return OrientedElement.make(terms)
