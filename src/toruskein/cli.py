@@ -102,10 +102,17 @@ def _read_input(text: str) -> str:
     return sys.stdin.read() if text.strip() == "-" else text
 
 
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except RecursionError:  # json.loads recurses once per nesting level
+        raise _UsageError("JSON input is nested too deeply") from None
+
+
 def _skein_argument(text: str, basis: Basis) -> SkeinElement:
     text = _read_input(text)
     if text.lstrip().startswith("{"):
-        element = SkeinElement.from_json(json.loads(text))
+        element = SkeinElement.from_json(_load_json(text))
         if element.basis != basis:
             raise _UsageError(f"expected a {basis.value}-basis element, got {element.basis.value}")
         return element
@@ -116,7 +123,7 @@ def _oriented_argument(text: str) -> OrientedElement:
     text = _read_input(text)
     if not text.lstrip().startswith("{"):
         raise _UsageError("psi-inv expects an oriented element as JSON")
-    return OrientedElement.from_json(json.loads(text))
+    return OrientedElement.from_json(_load_json(text))
 
 
 def _emit(obj, as_json: bool) -> None:

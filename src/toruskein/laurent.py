@@ -10,12 +10,13 @@ insensitive, printed in ascending exponent order (``"-A^-2 - A^2"`` is the
 circle value delta).  JSON form: an object mapping exponent strings (ASCII
 ``-?[0-9]+``) to integer coefficients, e.g. ``{"-2": -1, "2": -1}``.
 
-The fast algebra and the state sums accumulate into bare {exponent: coeff}
-maps with ``add_product`` (``circle_step`` for a power of delta) and turn each
-finished map into a polynomial once (the fast algebra with ``wrap_nonzero``).
-Sums of whole coefficients (basis changes, psi, merging equal keys) go through
-``accumulate``, which keeps a coefficient that lands once, unscaled, as the
-same object and copies it only when a second one lands on its key.
+Polynomial ``+`` and ``*``, the fast algebra and the state sums accumulate
+into bare {exponent: coeff} maps with one loop, ``add_product`` (``circle_step``
+for a power of delta), and turn each finished map into a polynomial once with
+``wrap_nonzero``, which drops its zeros.  Sums of whole coefficients (basis
+changes, psi, merging equal keys) go through ``accumulate``, which keeps a
+coefficient that lands once, unscaled, as the same object and copies it only
+when a second one lands on its key.
 """
 
 from __future__ import annotations
@@ -42,12 +43,8 @@ class LaurentPoly:
         acc: dict[int, int] = {}
         items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
         for exp, coeff in items:
-            c = acc.get(exp, 0) + coeff
-            if c:
-                acc[exp] = c
-            else:
-                acc.pop(exp, None)
-        object.__setattr__(self, "_terms", acc)
+            acc[exp] = acc.get(exp, 0) + coeff
+        object.__setattr__(self, "_terms", _nonzero(acc))
 
     # ----- constructors -----
 
@@ -72,19 +69,9 @@ class LaurentPoly:
     # ----- ring structure -----
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        other = _coerce(other)
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
         acc = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            c = acc.get(exp, 0) + coeff
-            if c:
-                acc[exp] = c
-            else:
-                del acc[exp]
-        return _wrap(acc)
+        add_product(acc, _coerce(other)._terms)
+        return wrap_nonzero(acc)
 
     __radd__ = __add__
 
@@ -98,19 +85,9 @@ class LaurentPoly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        other = _coerce(other)
-        if not self._terms or not other._terms:
-            return _ZERO
         acc: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                c = acc.get(e, 0) + c1 * c2
-                if c:
-                    acc[e] = c
-                else:
-                    del acc[e]
-        return _wrap(acc)
+        add_product(acc, self._terms, _coerce(other)._terms)
+        return wrap_nonzero(acc)
 
     __rmul__ = __mul__
 
@@ -244,9 +221,9 @@ class LaurentPoly:
         if not isinstance(data, Mapping):
             raise ValueError(f"expected an object of exponent: coefficient, got {data!r}")
         terms = {_exponent(e): json_int(c) for e, c in data.items()}
-        if len(terms) == len(data) and all(terms.values()):
-            return _wrap(terms)
-        return cls((int(e), c) for e, c in data.items())  # "1" and "01" add up; zeros go
+        if len(terms) == len(data):
+            return wrap_nonzero(terms)
+        return cls((int(e), c) for e, c in data.items())  # "1" and "01" add up
 
 
 def _exponent(key: str) -> int:
@@ -289,10 +266,10 @@ def add_product(
 ) -> None:
     """acc += scale * A^shift * x * y on bare {exponent: coeff} maps (no y: 1).
 
-    This is the package's one accumulation loop: the fast algebra's products
-    and the state sums add into such maps, zero entries and all (``accumulate``
-    adds whole coefficients through it), and turn each finished map into a
-    polynomial once.
+    This is the package's one accumulation loop: ``LaurentPoly``'s ``+`` and
+    ``*``, the fast algebra's products and the state sums add into such maps,
+    zero entries and all (``accumulate`` adds whole coefficients through it),
+    and turn each finished map into a polynomial once.
     """
     if y is None:
         y = _ONE._terms
@@ -328,9 +305,15 @@ def wrap_nonzero(acc: dict[int, int]) -> LaurentPoly:
     The map becomes the polynomial's storage when it has no zero entry, so
     the caller must not touch it afterwards.
     """
-    if not all(acc.values()):
-        acc = {e: c for e, c in acc.items() if c}
-    return _wrap(acc)
+    return _wrap(_nonzero(acc))
+
+
+def _nonzero(terms: dict[int, int]) -> dict[int, int]:
+    # The one place zero coefficients are dropped: ``terms`` itself when it
+    # has none, else a filtered copy.
+    if all(terms.values()):
+        return terms
+    return {e: c for e, c in terms.items() if c}
 
 
 @cache

@@ -335,7 +335,7 @@ def format_terms(terms, suffix: str = "", key_str=str) -> str:
                 body = name if body == "1" else f"{body} {name}"
             parts.append((sign, body))
         else:
-            body = f"({coeff})"
+            body = f"({join_signed([signed_monomial(*item) for item in items])})"
             if name:
                 body = f"{body} {name}"
             parts.append(("+", body))

@@ -59,7 +59,7 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .laurent import LaurentPoly, circle_step
+from .laurent import LaurentPoly, circle_step, wrap_nonzero
 from .oriented import OrientedElement
 from .skein import Basis, SkeinElement
 from .torus_curves import EMPTY, UnorientedClass, Vec2, det2, is_half_plane, split_signed
@@ -97,10 +97,15 @@ class Arrangement:
 
 
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (abs(a), (1 if a > 0 else -1) if a else 0, 0)
-    g, x, y = _extended_gcd(b, a % b)
-    return g, y, x - (a // b) * y
+    """(g, x, y) with x*a + y*b = g = gcd(a, b) >= 0, carried forward along
+    Euclid's quotients (a, b) -> (b, a mod b), so chains of any length work."""
+    x0, y0, x1, y1 = 1, 0, 0, 1  # a = x0*a_in + y0*b_in, b = x1*a_in + y1*b_in
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    sign = (a > 0) - (a < 0)
+    return abs(a), sign * x0, sign * y0
 
 
 def _transversal(prim: Vec2) -> Vec2:
@@ -134,7 +139,7 @@ def _copy_pair_crossings(
         px = t * pu[0] - abs(d0) * delta[0]  # size * (t*pu - (ov - ou))
         py = t * pu[1] - abs(d0) * delta[1]
         i = det2((px, py), pv) // size
-        c = det2((px + size * i * xi_v[0], py + size * i * xi_v[1]), xi_v)
+        c = det2((px, py), xi_v)  # the shift by size*i*xi_v adds det2(xi_v, xi_v) = 0
         s, w = divmod(c, size)
         z = (s * pv[0] - i * xi_v[0], s * pv[1] - i * xi_v[1])
         if (t * pu[0] - w * pv[0], t * pu[1] - w * pv[1]) == (
@@ -276,21 +281,21 @@ def _corners(positive: bool) -> tuple[tuple[int, ...], tuple[int, ...], dict[tup
 _CORNERS = {positive: _corners(positive) for positive in (False, True)}
 
 
-def _components(arr: Arrangement, mask: int, forward: bool = False) -> list[tuple[int, int, int, int]]:
+def _components(arr: Arrangement, mask: int) -> list[tuple[int, int, int, int]]:
     """Walk one resolved state; bit i of ``mask`` B-resolves crossing i.
 
     Returns (homology_x, homology_y, winding, arc_count) per component,
-    homology in unscaled integer units.  With ``forward`` the walks start at
-    over-strand out-ports, which under the orientation-compatible pairing
-    traverses every arc in the direction of its strand (every component
-    alternates families, so it contains such a port).
+    homology in unscaled integer units.  Each walk starts at an over-strand
+    out-port (every component alternates families, so it has one); under the
+    orientation-compatible pairing it then runs every arc along its strand.
+    The unoriented ``_classify`` is blind to which way a walk runs.
     """
     arc_other, disp, denom = arr.arc_other, arr.disp, arr.denom
     pair_a, pair_b, turn = _CORNERS[arr.d0 > 0]
     ports = 4 * arr.crossing_count
     seen = [False] * ports
     out = []
-    for start in range(U_OUT, ports, 4) if forward else range(ports):
+    for start in range(U_OUT, ports, 4):
         if seen[start]:
             continue
         p = start
@@ -522,7 +527,7 @@ def unoriented_product(
     arr = build_arrangement(x.vec, y.vec, budget=budget)
     acc = _contracted_sum(arr) if dump is None else _state_sum(arr, dump)
     terms = [
-        (EMPTY if key is None else UnorientedClass(key), LaurentPoly(bucket))
+        (EMPTY if key is None else UnorientedClass(key), wrap_nonzero(bucket))
         for key, bucket in acc.items()
     ]
     return SkeinElement.make(Basis.STANDARD, terms)
@@ -592,7 +597,7 @@ def oriented_product_with_ledger(
     # The orientation-compatible pairing is the A-smoothing exactly when
     # d0 < 0, so each crossing contributes A^(-sign(d0)).
     oriented_mask = 0 if arr.d0 < 0 else (1 << k) - 1
-    components = _components(arr, oriented_mask, forward=True)
+    components = _components(arr, oriented_mask)
     _circles, count, direction = _classify(components, oriented=True)
     total = (count * direction[0], count * direction[1])
     if total != (u[0] + v[0], u[1] + v[1]):

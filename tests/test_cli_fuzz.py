@@ -214,3 +214,37 @@ def test_long_strand_products_run_under_a_raised_budget(pair, as_json):
     code, out, err = run_quietly(["oracle-mul", "--budget", "60", x, y] + flags, "")
     assert code == 0, (x, y, err)
     assert out == run_quietly(["mul", x, y] + flags, "")[1]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["psi", "-"], ["psi-inv", "-"], ["convert", "--to", "standard", "-"], ["convert", "--to", "chebyshev", "-"]],
+    ids=" ".join,
+)
+@pytest.mark.parametrize(
+    "nested", ['{"terms": ' + "[" * 50_000, '{"a": ' * 50_000], ids=["arrays", "objects"]
+)
+def test_deeply_nested_json_is_a_user_error(args, nested):
+    code, out, err = run_quietly(args, nested)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def _consecutive_fibonacci_classes(n):
+    """(F(n+1), F(n)) and (F(n), F(n-1)): det2 is +-1, one crossing, and
+    Euclid's algorithm on either takes about n steps."""
+    fib = [0, 1]
+    while len(fib) <= n + 1:
+        fib.append(fib[-1] + fib[-2])
+    return f"({fib[n + 1]},{fib[n]})", f"({fib[n]},{fib[n - 1]})"
+
+
+@pytest.mark.parametrize("n", [900, 1500])
+def test_long_euclid_chains_run_through_the_oracles(n):
+    x, y = _consecutive_fibonacci_classes(n)
+    code, out, err = run_quietly(["oracle-mul", x, y], "")
+    assert code == 0, err
+    assert out == run_quietly(["mul", x, y], "")[1]
+    code, out, err = run_quietly(["gamma-mul", "--oracle", x, y], "")
+    assert code == 0, err
+    assert out == run_quietly(["gamma-mul", x, y], "")[1]

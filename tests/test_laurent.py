@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from references import BOUNDED, coeffs
+
 from toruskein.laurent import A, DELTA, ONE, ZERO, LaurentPoly, ParseError, circle_step
 
 
@@ -184,3 +186,83 @@ def test_circle_step_multiplies_by_a_shift_and_delta_powers(acc, poly, shift, ci
     bare = dict(acc.terms())
     circle_step(bare, dict(poly.terms()), shift, circles)
     assert LaurentPoly(bare) == acc + poly.shifted(shift) * DELTA**circles
+
+
+# ----- one product loop: ring operations against plain-dict references -----
+
+operands = st.one_of(coeffs, st.integers(-2, 2))
+
+
+def _dict_of(value):
+    return dict(value._terms) if isinstance(value, LaurentPoly) else ({0: value} if value else {})
+
+
+def _ref_sum(pairs):
+    acc = {}
+    for e, c in pairs:
+        acc[e] = acc.get(e, 0) + c
+    return {e: c for e, c in acc.items() if c}
+
+
+def _ref_add(x, y):
+    return _ref_sum([*_dict_of(x).items(), *_dict_of(y).items()])
+
+
+def _ref_mul(x, y):
+    return _ref_sum((ex + ey, cx * cy) for ex, cx in _dict_of(x).items() for ey, cy in _dict_of(y).items())
+
+
+def assert_stored(poly, expected):
+    assert type(poly) is LaurentPoly
+    assert all(poly._terms.values()), poly._terms  # no zero coefficient is stored
+    assert poly._terms == expected
+
+
+@BOUNDED
+@given(operands, operands)
+def test_add_sub_mul_match_the_dict_reference_and_leave_operands_alone(x, y):
+    before = (_dict_of(x), _dict_of(y))
+    negated_y = {e: -c for e, c in _dict_of(y).items()}
+    if isinstance(x, LaurentPoly) or isinstance(y, LaurentPoly):
+        assert_stored(x + y, _ref_add(x, y))
+        assert_stored(x - y, _ref_sum([*_dict_of(x).items(), *negated_y.items()]))
+        assert_stored(x * y, _ref_mul(x, y))
+    assert (_dict_of(x), _dict_of(y)) == before
+
+
+@BOUNDED
+@given(coeffs, st.integers(0, 4))
+def test_pow_matches_repeated_dict_products(x, n):
+    expected = {0: 1}
+    for _ in range(n):
+        expected = _ref_mul(LaurentPoly(expected), x)
+    before = dict(x._terms)
+    assert_stored(x**n, expected)
+    assert x._terms == before
+
+
+@BOUNDED
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=8))
+def test_constructor_sums_repeated_exponents_and_drops_cancelled_ones(pairs):
+    assert_stored(LaurentPoly(pairs), _ref_sum(pairs))
+    assert_stored(LaurentPoly(pairs + [(e, -c) for e, c in pairs]), {})
+    given_map = dict(pairs)
+    assert_stored(LaurentPoly(given_map), _ref_sum(given_map.items()))
+    assert given_map == dict(pairs)  # the caller's map is read, not kept or filtered
+
+
+@BOUNDED
+@given(st.dictionaries(st.sampled_from(["0", "00", "1", "01", "001", "-1", "-01", "2"]), st.integers(-2, 2)))
+def test_from_json_adds_equal_exponents_and_drops_zeros(data):
+    assert_stored(LaurentPoly.from_json(data), _ref_sum((int(e), c) for e, c in data.items()))
+
+
+@pytest.mark.parametrize("poly", [LaurentPoly({0: 1}), DELTA, LaurentPoly({-1: 3, 0: -2, 4: 1})])
+def test_zero_and_one_operands_leave_both_sides_alone(poly):
+    before = dict(poly._terms)
+    for result in (ZERO + poly, poly + ZERO, poly + 0, 0 + poly, poly * 1, 1 * poly, poly * ONE, poly - 0):
+        assert_stored(result, before)
+    for result in (poly - poly, poly * 0, poly * ZERO, ZERO * poly):
+        assert_stored(result, {})
+    assert poly._terms == before
+    assert (ZERO._terms, ONE._terms, DELTA._terms) == ({}, {0: 1}, {2: -1, -2: -1})

@@ -4,8 +4,10 @@ import random
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from references import psi_oracle
+from references import BOUNDED, psi_oracle
 from scan_arrangement import scan_arrangement
 
 from toruskein.laurent import LaurentPoly
@@ -34,6 +36,41 @@ def cls(vec):
 
 def std(vec):
     return SkeinElement.generator(cls(vec), Basis.STANDARD)
+
+
+def _recursive_extended_gcd(a, b):
+    """Euclid's back-substitution, one call per quotient: the reference for
+    the Bezout pair the oracle's iterative form must return."""
+    if b == 0:
+        return (abs(a), (1 if a > 0 else -1) if a else 0, 0)
+    g, x, y = _recursive_extended_gcd(b, a % b)
+    return g, y, x - (a // b) * y
+
+
+class TestExtendedGcd:
+    @BOUNDED
+    @given(
+        st.one_of(st.integers(-60, 60), st.integers(-(10**12), 10**12)),
+        st.one_of(st.integers(-60, 60), st.integers(-(10**12), 10**12)),
+    )
+    def test_matches_the_recursive_form(self, a, b):
+        g, x, y = smoothing_oracle._extended_gcd(a, b)
+        assert (g, x, y) == _recursive_extended_gcd(a, b)
+        assert g == math.gcd(a, b) and x * a + y * b == g
+
+    def test_small_square_exhaustively(self):
+        for a in range(-12, 13):
+            for b in range(-12, 13):
+                assert smoothing_oracle._extended_gcd(a, b) == _recursive_extended_gcd(a, b)
+
+    def test_chains_past_the_recursion_limit(self):
+        fib = [0, 1]
+        while len(fib) < 3000:
+            fib.append(fib[-1] + fib[-2])
+        g, x, y = smoothing_oracle._extended_gcd(fib[-1], fib[-2])
+        assert g == 1 and x * fib[-1] + y * fib[-2] == 1
+        xi = smoothing_oracle._transversal((fib[-1], fib[-2]))
+        assert det2((fib[-1], fib[-2]), xi) == 1
 
 
 def _successors(arr, family):
@@ -310,6 +347,19 @@ class TestUnorientedProduct:
     def test_parallel_union(self):
         assert unoriented_product(cls((1, 0)), cls((1, 0))) == std((2, 0))
         assert unoriented_product(cls((2, 4)), cls((1, 2))) == std((3, 6))
+
+    def test_small_pairs_store_no_zero_coefficient(self):
+        # The state sums' buckets do hold zero entries on these pairs, so each
+        # must be wrapped with its zeros dropped.
+        classes = [c.vec for c in canonical_classes(3)]
+        pairs = [(u, v) for u in classes for v in classes if 0 < det2(u, v) <= 12]
+        assert len(pairs) > 200
+        for i, (u, v) in enumerate(pairs):
+            dump = io.StringIO() if i % 16 == 0 else None  # the brute force too
+            product = unoriented_product(cls(u), cls(v), dump=dump)
+            for _, coeff in product.terms():
+                assert coeff and all(coeff._terms.values()), (u, v, coeff._terms)
+            assert product == std(u) * std(v), (u, v)
 
     def test_empty_operands(self):
         assert unoriented_product(EMPTY, cls((2, 1))) == std((2, 1))
