@@ -219,7 +219,7 @@ class LaurentPoly:
         """Read the JSON form: keys ASCII ``-?[0-9]+``, values JSON integers;
         anything else raises ValueError naming the first bad entry."""
         if not isinstance(data, Mapping):
-            raise ValueError(f"expected an object of exponent: coefficient, got {data!r}")
+            raise ValueError(f"expected an object of exponent: coefficient, got {quoted(data)}")
         terms = {_exponent(e): json_int(c) for e, c in data.items()}
         if len(terms) == len(data):
             return wrap_nonzero(terms)
@@ -230,14 +230,21 @@ def _exponent(key: str) -> int:
     # int() alone would also take " -2 ", "3_0" and "٣".
     if key.isascii() and key.removeprefix("-").isdigit():
         return int(key)
-    raise ValueError(f"expected an integer exponent key, got {key!r}")
+    raise ValueError(f"expected an integer exponent key, got {quoted(key)}")
 
 
 def json_int(value: object) -> int:
     """A JSON integer as it is; a float, boolean or string raises ValueError."""
     if type(value) is int or (isinstance(value, int) and not isinstance(value, bool)):
         return value
-    raise ValueError(f"expected an integer, got {value!r}")
+    raise ValueError(f"expected an integer, got {quoted(value)}")
+
+
+def quoted(value: object, limit: int = 60) -> str:
+    """``repr(value)`` for an error message: past ``limit`` characters only
+    its start and its length, so a huge input gives a short message."""
+    text = repr(value)
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
 def _coerce(value: "LaurentPoly | int") -> LaurentPoly:

@@ -36,7 +36,8 @@ from enum import Enum
 
 from . import chebyshev
 from .laurent import (
-    ZERO, LaurentPoly, accumulate, add_product, join_signed, signed_monomial, wrap_nonzero,
+    ZERO, LaurentPoly, accumulate, add_product, join_signed, quoted, signed_monomial,
+    wrap_nonzero,
 )
 from .torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize
 
@@ -163,7 +164,7 @@ class TermMap:
 
 def _json_list(data: object) -> list:
     if not isinstance(data, list):
-        raise ValueError(f"expected a list, got {data!r}")
+        raise ValueError(f"expected a list, got {quoted(data)}")
     return data
 
 
@@ -172,7 +173,7 @@ def _json_field(data: object, name: str, path: str, parse):
     path, such as ``terms[0].gamma``."""
     where = f"{path}.{name}" if path else name
     if not isinstance(data, Mapping):
-        raise ValueError(f"{path or 'element'}: expected a JSON object, got {data!r}")
+        raise ValueError(f"{path or 'element'}: expected a JSON object, got {quoted(data)}")
     if name not in data:
         raise ValueError(f"{where}: missing")
     try:

@@ -59,12 +59,13 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .laurent import LaurentPoly, circle_step, wrap_nonzero
+from .laurent import LaurentPoly, circle_step
 from .oriented import OrientedElement
 from .skein import Basis, SkeinElement
-from .torus_curves import EMPTY, UnorientedClass, Vec2, det2, is_half_plane, split_signed
+from .torus_curves import EMPTY, UnorientedClass, Vec2, det2, split_signed
 
 DEFAULT_BUDGET = 24
+DUMP_LIMIT = 16  # most crossings --dump-states lists the 2^k states of
 
 # Port roles within a crossing: over-strand in/out, under-strand in/out.
 U_IN, U_OUT, V_IN, V_OUT = 0, 1, 2, 3
@@ -116,44 +117,6 @@ def _transversal(prim: Vec2) -> Vec2:
     return (-t, s)
 
 
-def _copy_pair_crossings(
-    pu: Vec2, pv: Vec2, xi_v: Vec2, delta: Vec2, scale: int
-) -> list[tuple[int, int]]:
-    """Curve parameters (t, w) of all crossings of one u copy with one v copy.
-
-    Solves t*pu + ou = w*pv + ov (mod Z^2) for t, w in [0, 1), in integer
-    units of 1/size with size = |d0|*scale; ``delta`` is scale*(ov - ou).
-    With e = t*pu - w*pv = ov - ou + z for a lattice translate z,
-    det2(e, pv) = t*d0 and det2(z, pv) ranges over Z, so t runs over one
-    residue modulo scale: t = (sign(d0)*det2(delta, pv) mod scale) + scale*r
-    for r < |d0|.  For each t the point t*pu - (ov - ou) lies on the line
-    z0 + R*pv with z0 = -i*xi_v, i = det2(t*pu - (ov - ou), pv); its position
-    along pv, c/size, splits into an integer s and w in [0, 1), and
-    z = z0 + s*pv.  Solutions come in the order of their translates z.
-    """
-    d0 = det2(pu, pv)
-    size = abs(d0) * scale
-    base = (det2(delta, pv) if d0 > 0 else -det2(delta, pv)) % scale
-    sols: dict[Vec2, tuple[int, int]] = {}
-    for t in range(base, size, scale):
-        px = t * pu[0] - abs(d0) * delta[0]  # size * (t*pu - (ov - ou))
-        py = t * pu[1] - abs(d0) * delta[1]
-        i = det2((px, py), pv) // size
-        c = det2((px, py), xi_v)  # the shift by size*i*xi_v adds det2(xi_v, xi_v) = 0
-        s, w = divmod(c, size)
-        z = (s * pv[0] - i * xi_v[0], s * pv[1] - i * xi_v[1])
-        if (t * pu[0] - w * pv[0], t * pu[1] - w * pv[1]) == (
-            abs(d0) * delta[0] + size * z[0],
-            abs(d0) * delta[1] + size * z[1],
-        ):
-            sols[z] = (t, w)
-    if len(sols) != abs(d0):
-        raise ArrangementError(
-            f"copy pair produced {len(sols)} crossings, expected {abs(d0)}"
-        )
-    return [sols[z] for z in sorted(sols)]
-
-
 def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) -> Arrangement:
     """Lay out the two families in generic position and index their crossings.
 
@@ -166,8 +129,19 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
     and the |d0| crossings of each copy pair are distinct, so no two crossings
     coincide.  Every parameter and point is an integer in units of 1/size,
     size = |d0|*den_u*den_v.
+
+    A copy pair's crossings solve t*pu + ou = w*pv + ov (mod Z^2) for curve
+    parameters t, w in [0, 1), in units of 1/size; ``delta`` is
+    scale*(ov - ou).  With e = t*pu - w*pv = ov - ou + z for a lattice
+    translate z, det2(e, pv) = t*d0 and det2(z, pv) ranges over Z, so t runs
+    over one residue modulo scale: t = (sign(d0)*det2(delta, pv) mod scale)
+    + scale*r for r < |d0|.  For each t the point t*pu - (ov - ou) lies on
+    the line z0 + R*pv with z0 = -i*xi_v, i = det2(t*pu - (ov - ou), pv); its
+    position along pv, c/size, splits into an integer s and w in [0, 1), and
+    z = z0 + s*pv.  Each pair's crossings are indexed in the order of their
+    translates z.
     """
-    d_full = det2(u_vec, v_vec)
+    d_full = u_vec[0] * v_vec[1] - u_vec[1] * v_vec[0]
     if d_full == 0:
         raise ValueError("parallel classes have no arrangement; det2 = 0")
     k = abs(d_full)
@@ -175,72 +149,92 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
         raise BudgetExceededError(f"{k} crossings exceed the budget of {budget}")
     n, pu = split_signed(u_vec)
     m, pv = split_signed(v_vec)
-    d0 = det2(pu, pv)
-    if n * m * abs(d0) != k:
+    (ux, uy), (vx, vy) = pu, pv
+    d0 = ux * vy - uy * vx
+    ad0 = abs(d0)
+    if n * m * ad0 != k:
         raise ArrangementError("crossing count does not factor through the primitives")
-    xi_u = _transversal(pu)
-    xi_v = _transversal(pv)
+    xux, xuy = _transversal(pu)
+    xvx, xvy = _transversal(pv)
 
     den_u, den_v = n + 1, m + 1
     scale = den_u * den_v
-    size = abs(d0) * scale
-    crossings: list[tuple[int, int, int, int]] = []
+    size = ad0 * scale
+    u_xi = ux * xvy - uy * xvx  # det2(pu, xi_v); det2(t*pu - ad0*delta, w) is linear in t
+    # (parameter, crossing) along each copy of each family, in crossing order.
+    on_u: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    on_v: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     points: dict[Vec2, None] = {}  # in crossing order
     for j in range(n):
-        ou = (abs(d0) * (j + 1) * den_v * xi_u[0], abs(d0) * (j + 1) * den_v * xi_u[1])
+        ou_x, ou_y = ad0 * (j + 1) * den_v * xux, ad0 * (j + 1) * den_v * xuy
         for l in range(m):
-            delta = (
-                (l + 1) * den_u * xi_v[0] - (j + 1) * den_v * xi_u[0],
-                (l + 1) * den_u * xi_v[1] - (j + 1) * den_v * xi_u[1],
-            )
-            for t, w in _copy_pair_crossings(pu, pv, xi_v, delta, scale):
-                pt = ((t * pu[0] + ou[0]) % size, (t * pu[1] + ou[1]) % size)
+            dx = (l + 1) * den_u * xvx - (j + 1) * den_v * xux
+            dy = (l + 1) * den_u * xvy - (j + 1) * den_v * xuy
+            delta_v = dx * vy - dy * vx
+            e_v, e_xi = ad0 * delta_v, ad0 * (dx * xvy - dy * xvx)
+            sols: dict[Vec2, tuple[int, int]] = {}
+            for t in range((delta_v if d0 > 0 else -delta_v) % scale, size, scale):
+                i = (t * d0 - e_v) // size
+                s, w = divmod(t * u_xi - e_xi, size)
+                z = (s * vx - i * xvx, s * vy - i * xvy)
+                if t * ux - w * vx == ad0 * dx + size * z[0] and t * uy - w * vy == ad0 * dy + size * z[1]:
+                    sols[z] = (t, w)
+            if len(sols) != ad0:
+                raise ArrangementError(
+                    f"copy pair produced {len(sols)} crossings, expected {ad0}"
+                )
+            for z in sorted(sols):
+                t, w = sols[z]
+                pt = ((t * ux + ou_x) % size, (t * uy + ou_y) % size)
                 if pt in points:
                     raise ArrangementError(f"two crossings at one point {pt}/{size}")
+                on_u[j].append((t, len(points)))
+                on_v[l].append((w, len(points)))
                 points[pt] = None
-                crossings.append((j, l, t, w))
 
-    if len(crossings) != k:
-        raise ArrangementError(f"built {len(crossings)} crossings, expected {k}")
+    if len(points) != k:
+        raise ArrangementError(f"built {len(points)} crossings, expected {k}")
 
     arc_other = [0] * (4 * k)
-    disp: list[Vec2] = [(0, 0)] * (4 * k)  # in units of 1/size until scaled down
-    for family, copies, prim, copy_idx, par_idx, out_role, in_role in (
-        ("u", n, pu, 0, 2, U_OUT, U_IN),
-        ("v", m, pv, 1, 3, V_OUT, V_IN),
+    gap = [0] * (4 * k)  # signed arc length leaving each port along its primitive, in 1/size
+    for family, prim, on_family, out_role, in_role in (
+        ("u", pu, on_u, U_OUT, U_IN),
+        ("v", pv, on_v, V_OUT, V_IN),
     ):
-        by_copy: list[list[tuple[int, int]]] = [[] for _ in range(copies)]
-        for ci, cr in enumerate(crossings):
-            by_copy[cr[copy_idx]].append((cr[par_idx], ci))
-        for copy, on_copy in enumerate(by_copy):
+        for copy, on_copy in enumerate(on_family):
             on_copy.sort()
-            if len({t for t, _ in on_copy}) != len(on_copy):
-                raise ArrangementError(f"parameter tie along {family} copy {copy}")
-            total = (0, 0)
-            for pos, (t, ci) in enumerate(on_copy):
-                t_next, ci_next = on_copy[(pos + 1) % len(on_copy)]
-                gap = (t_next - t) % size or size  # one crossing on this copy: full loop
+            total = 0
+            for (t, ci), (t_next, ci_next) in zip(on_copy, on_copy[1:] + on_copy[:1]):
+                g = (t_next - t) % size
+                if not g:
+                    if ci != ci_next:
+                        raise ArrangementError(f"parameter tie along {family} copy {copy}")
+                    g = size  # one crossing on this copy: full loop
                 p, q = 4 * ci + out_role, 4 * ci_next + in_role
                 arc_other[p], arc_other[q] = q, p
-                disp[p] = (gap * prim[0], gap * prim[1])
-                disp[q] = (-gap * prim[0], -gap * prim[1])
-                total = (total[0] + disp[p][0], total[1] + disp[p][1])
-            if total != (size * prim[0], size * prim[1]):
+                gap[p], gap[q] = g, -g
+                total += g
+            if total != size:
                 raise ArrangementError(
-                    f"arc displacements along {family} copy {copy} sum to {total}/{size}, "
-                    f"expected {prim}"
+                    f"arc displacements along {family} copy {copy} sum to "
+                    f"{(total * prim[0], total * prim[1])}/{size}, expected {prim}"
                 )
 
-    # The least common denominator of all displacements, so of point differences.
-    unit = math.gcd(size, *(c for pair in disp for c in pair))
+    # The least common denominator of all displacements, so of point
+    # differences; each gap times a primitive vector has content |gap|.
+    unit = math.gcd(size, *gap)
+    disp = [
+        (g * vx // unit, g * vy // unit) if p & 2 else (g * ux // unit, g * uy // unit)
+        for p, g in enumerate(gap)
+    ]
     x0, y0 = next(iter(points))
     return Arrangement(
         d0=d0,
         crossing_count=k,
         arc_other=tuple(arc_other),
-        disp=tuple((dx // unit, dy // unit) for dx, dy in disp),
+        disp=tuple(disp),
         denom=size // unit,
-        point=tuple(((x - x0) % size // unit, (y - y0) % size // unit) for x, y in points),
+        point=tuple([((x - x0) % size // unit, (y - y0) % size // unit) for x, y in points]),
     )
 
 
@@ -355,11 +349,9 @@ def _classify(
             continue
         if winding != 0:
             raise ArrangementError(f"essential component with winding {winding}")
-        g, prim = split_signed((hx, hy))
-        if g != 1:
+        if math.gcd(hx, hy) != 1:
             raise ArrangementError(f"essential component homology {(hx, hy)} not primitive")
-        if not oriented and not is_half_plane(prim):
-            prim = (-prim[0], -prim[1])
+        prim = (hx, hy) if oriented or hx > 0 or (hx == 0 and hy > 0) else (-hx, -hy)
         if direction is None:
             direction = prim
         elif direction != prim:
@@ -398,100 +390,146 @@ def _shortest_cut(u: Vec2, v: Vec2) -> Vec2:
     """A primitive c minimising |det2(c, u)| + |det2(c, v)|, by Gauss-Lagrange
     reduction of that norm (Kaib-Schnorr 1996).  The norm of b - mu*a is convex
     and piecewise linear in mu, so the best integer step is next to a kink."""
-    def norm(c: Vec2) -> int:
-        return abs(det2(c, u)) + abs(det2(c, v))
-    a, b = sorted([(1, 0), (0, 1)], key=norm)
+    (ux, uy), (vx, vy) = u, v
+    a, norm_a = (1, 0), abs(uy) + abs(vy)
+    b, norm_b = (0, 1), abs(ux) + abs(vx)
+    if norm_b < norm_a:
+        a, norm_a, b = b, norm_b, a
     while True:
-        steps = [det2(b, w) // det2(a, w) + r for w in (u, v) if det2(a, w) for r in (0, 1)]
-        b = min(((b[0] - mu * a[0], b[1] - mu * a[1]) for mu in steps), key=norm)
-        if norm(b) >= norm(a):
+        (ax, ay), (bx, by) = a, b
+        norm_b = None
+        for wx, wy in u, v:
+            da = ax * wy - ay * wx
+            if da:
+                q = (bx * wy - by * wx) // da
+                for mu in q, q + 1:
+                    cx, cy = bx - mu * ax, by - mu * ay
+                    norm = abs(cx * uy - cy * ux) + abs(cx * vy - cy * vx)
+                    if norm_b is None or norm < norm_b:
+                        b, norm_b = (cx, cy), norm
+        if norm_b >= norm_a:
             return a
-        a, b = b, a
+        a, norm_a, b = b, norm_b, a
 
 
 def _sweep_order(arr: Arrangement) -> list[int]:
     """Crossings by height along the shortest cut, then along its level curve.
     Each family's out-port displacements sum to its class times denom."""
-    u, v = (tuple(sum(c) // arr.denom for c in zip(*arr.disp[role::4])) for role in (U_OUT, V_OUT))
-    cut = _shortest_cut(u, v)
-    xi = _transversal(cut)
-    return sorted(
-        range(arr.crossing_count),
-        key=lambda i: (det2(cut, arr.point[i]) % arr.denom, det2(xi, arr.point[i]) % arr.denom),
-    )
+    disp, denom = arr.disp, arr.denom
+    ux, uy = map(sum, zip(*disp[U_OUT::4]))
+    vx, vy = map(sum, zip(*disp[V_OUT::4]))
+    cx, cy = _shortest_cut((ux // denom, uy // denom), (vx // denom, vy // denom))
+    xx, xy = _transversal((cx, cy))
+    height = [((cx * py - cy * px) % denom, (xx * py - xy * px) % denom) for px, py in arr.point]
+    return sorted(range(arr.crossing_count), key=height.__getitem__)
 
 
 def _contracted_sum(arr: Arrangement) -> StateSum:
     """The state sum, resolving one crossing at a time (frontier contraction).
 
-    A partial state is keyed by its open paths, each (end port, end port,
-    hx, hy, turning) measured from the smaller end, and by the essential
-    count and direction of the components closed so far; its value maps
-    exponents to coefficients.  Resolving a crossing adds its fresh arcs,
-    joins its two port pairs, and closes at most two components, which pass
-    the brute force's checks (``_whole``, then ``_classify``).  Each trivial
-    circle multiplies the coefficient by delta = -A^2 - A^-2 as it closes.
+    The open ports, ports of unresolved crossings whose arcs lead to resolved
+    ones, depend only on the sweep, so they are laid out once in an order
+    every partial state shares.  A partial state is keyed by one tuple: the
+    essential count and direction of the components closed so far, then one
+    entry per open port in layout order, the open path leaving it (the port
+    at its other end, hx, hy, turning).  Its value maps exponents to
+    coefficients.  Resolving a crossing adds its fresh arcs, joins its two
+    port pairs, rewrites the at most four far ends of the joined paths, and
+    closes at most two components, which pass the brute force's checks
+    (``_whole``, then ``_classify``).  Each trivial circle multiplies the
+    coefficient by delta = -A^2 - A^-2 as it closes.
     """
     arc_other, disp, denom = arr.arc_other, arr.disp, arr.denom
     pair_a, pair_b, turn = _CORNERS[arr.d0 > 0]
-    states: dict[tuple, dict[int, int]] = {((), 0, None): {0: 1}}
+    pairings = [
+        (shift, [(a, pair[a], turn[(a, pair[a])]) for a in (U_IN, U_OUT)])
+        for pair, shift in ((pair_a, 1), (pair_b, -1))
+    ]
+    # Each crossing's plan, made once: where its ports read their paths (an
+    # open port from its key entry, any other from its fresh arc), the key
+    # entries to drop or add, where each open port's entry sits afterwards,
+    # and the two ways to join its ports.
+    plan = []
+    # The key's entries: the closed count and direction, then the open ports.
+    layout: list = ["count", "direction"]
     for c in _sweep_order(arr):
-        ports = range(4 * c, 4 * c + 4)
-        # Arcs from this crossing to an unresolved one (or to itself) enter
-        # the partial state now; ``fresh`` holds each arc from both ends.
-        fresh = {}
-        for p in ports:
-            q = arc_other[p]
-            fresh[p] = (q, *disp[p], 0)
-            fresh[q] = (p, *disp[q], 0)
+        c4 = 4 * c
+        reads, slots, fresh, opened = [], [], {}, []
+        for p in range(c4, c4 + 4):
+            if p in layout:
+                i = layout.index(p)
+                reads.append((p, i))
+                slots.append(i)
+            else:
+                q = arc_other[p]
+                fresh[p] = (q, *disp[p], 0)
+                if q >> 2 != c:
+                    opened.append(q)
+        # Ports that open now take the slots of c's ports, in order; slots
+        # left over close up, and further opened ports go at the end.
+        slots.sort()
+        for i, q in zip(slots, opened):
+            layout[i] = q
+        drops = slots[len(opened):][::-1]
+        for i in drops:
+            del layout[i]
+        layout += opened[len(slots):]
+        pad = [None] * (len(opened) - len(slots))
+        where = {p: i for i, p in enumerate(layout)}
         choices = [
-            (
-                shift,
-                [(4 * c + a, 4 * c + pair[a], turn[(a, pair[a])]) for a in (U_IN, U_OUT)],
-            )
-            for pair, shift in ((pair_a, 1), (pair_b, -1))
+            (shift, ((c4 + a1, c4 + b1, t1), (c4 + a2, c4 + b2, t2)))
+            for shift, ((a1, b1, t1), (a2, b2, t2)) in pairings
         ]
+        plan.append((reads, fresh, drops, pad, where, choices))
+
+    states: dict[tuple, dict[int, int]] = {(0, None): {0: 1}}
+    for reads, fresh, drops, pad, where, choices in plan:
         nxt: dict[tuple, dict[int, int]] = {}
-        for (paths, count, direction), poly in states.items():
-            local = {}
-            rest = []
-            for path in paths:
-                a, b, hx, hy, tw = path
-                if a >> 2 == c or b >> 2 == c:
-                    local[a] = (b, hx, hy, tw)
-                    local[b] = (a, -hx, -hy, -tw)
-                else:
-                    rest.append(path)
-            for p in ports:
-                if p not in local:
-                    local[p] = fresh[p]
-                    q = fresh[p][0]
-                    local[q] = fresh[q]
+        for key, poly in states.items():
+            local = fresh
+            if reads:
+                local = dict(fresh)
+                for p, o in reads:
+                    local[p] = key[o]
+            base = list(key)
+            for o in drops:
+                del base[o]
+            base += pad
             for shift, joins in choices:
                 ends = dict(local)
+                entries = base.copy()
                 closed = []
                 for a, b, t in joins:
                     # Arrive at port a, turn by t, leave by port b.
-                    x, ax, ay, at = ends.pop(a)
-                    y, bx, by, bt = ends.pop(b)
+                    x, ax, ay, at = ends[a]
+                    y, bx, by, bt = ends[b]
                     if x == b:
                         closed.append(_whole(bx, by, bt + t, denom))
                     else:
                         hx, hy, tw = bx - ax, by - ay, bt + t - at
-                        ends[x] = (y, hx, hy, tw)
-                        ends[y] = (x, -hx, -hy, -tw)
-                circles, added, new_dir = (
-                    _classify(closed, direction=direction) if closed else (0, 0, direction)
-                )
-                key = (
-                    tuple(sorted(rest + [(a, *path) for a, path in ends.items() if a < path[0]])),
-                    count + added,
-                    new_dir,
-                )
-                circle_step(nxt.setdefault(key, {}), poly, shift, circles)
+                        # A far end at c is joined next; an open one is
+                        # patched into the key (its offset is at least 2).
+                        ends[x] = path = (y, hx, hy, tw)
+                        if o := where.get(x):
+                            entries[o] = path
+                        ends[y] = path = (x, -hx, -hy, -tw)
+                        if o := where.get(y):
+                            entries[o] = path
+                circles = 0
+                if closed:
+                    circles, added, entries[1] = _classify(closed, direction=key[1])
+                    entries[0] = key[0] + added
+                out = tuple(entries)
+                acc = nxt.get(out)
+                if acc is None:
+                    if not circles:
+                        nxt[out] = {e + shift: coeff for e, coeff in poly.items()}
+                        continue
+                    acc = nxt[out] = {}
+                circle_step(acc, poly, shift, circles)
         states = nxt
-    # No path is open any more, so each state is one residual class.
-    return {_residual(count, direction): poly for (_, count, direction), poly in states.items()}
+    # No port is open any more, so each state is one residual class.
+    return {_residual(count, direction): poly for (count, direction), poly in states.items()}
 
 
 def unoriented_product(
@@ -526,11 +564,8 @@ def unoriented_product(
 
     arr = build_arrangement(x.vec, y.vec, budget=budget)
     acc = _contracted_sum(arr) if dump is None else _state_sum(arr, dump)
-    terms = [
-        (EMPTY if key is None else UnorientedClass(key), wrap_nonzero(bucket))
-        for key, bucket in acc.items()
-    ]
-    return SkeinElement.make(Basis.STANDARD, terms)
+    buckets = {EMPTY if key is None else UnorientedClass(key): bucket for key, bucket in acc.items()}
+    return SkeinElement(Basis.STANDARD, SkeinElement._sorted_nonzero(buckets))
 
 
 # ----------------------------------------------------------------------
@@ -604,7 +639,7 @@ def oriented_product_with_ledger(
         raise ArrangementError(
             f"oriented homology {total} does not match {u} + {v}"
         )
-    element = OrientedElement.make({total: LaurentPoly.monomial(1, -sign * k)})
+    element = OrientedElement(OrientedElement._sorted_nonzero({total: LaurentPoly.monomial(1, -sign * k)}))
     return element, GaussLedger(smoothing_exponent=-sign * k)
 
 

@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .laurent import json_int
+from .laurent import json_int, quoted
 
 Vec2 = tuple[int, int]
 
@@ -113,7 +113,7 @@ def canonicalize(v: Vec2) -> tuple[UnorientedClass, bool]:
 def vec_from_json(data: object) -> Vec2:
     """Parse the JSON form [a, b]."""
     if not (isinstance(data, (list, tuple)) and len(data) == 2):
-        raise ValueError(f"expected [a, b], got {data!r}")
+        raise ValueError(f"expected [a, b], got {quoted(data)}")
     return (json_int(data[0]), json_int(data[1]))
 
 
@@ -124,5 +124,5 @@ def parse_vec(text: str) -> Vec2:
     """Parse the text form "(a,b)"."""
     m = _VEC_RE.match(text.strip())
     if not m:
-        raise ValueError(f"expected a pair like (a,b), got {text!r}")
+        raise ValueError(f"expected a pair like (a,b), got {quoted(text)}")
     return (int(m.group(1)), int(m.group(2)))

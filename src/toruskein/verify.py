@@ -141,12 +141,17 @@ def swap_symmetry_sweep(max_coord: int = 3, max_det: int = 10) -> SweepResult:
     return result
 
 
+MAX_COORD = 16  # the sweeps visit pairs of up to (2*MAX_COORD + 1)^2 classes
+
+
 def run_all(
     max_coord: int = 3,
     max_det: int = 10,
     max_mult: int = 3,
     budget: int = 24,
 ) -> list[SweepResult]:
+    if max_coord > MAX_COORD:  # checked before any class is listed
+        raise ValueError(f"max coordinate {max_coord} exceeds the limit of {MAX_COORD}")
     monomial, total_exp, total_wind = oriented_monomial_sweep(max_coord, max_det, budget)
     grading = SweepResult("aggregate Gauss grading over the oriented sweep", cases=monomial.cases)
     if total_exp + 2 * total_wind != 0:

@@ -1,3 +1,4 @@
+import io
 import json
 import time
 from pathlib import Path
@@ -99,6 +100,29 @@ class TestOracleMul:
         code, _, err = invoke(capsys, "oracle-mul", "--budget", "3", "(3,0)", "(0,3)")
         assert code == 1 and "budget" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--budget", "3", "(3,0)", "(0,3)"], "9 crossings exceed the budget of 3"),
+            (["(17,0)", "(0,1)"], "17 crossings exceed the --dump-states limit of 16"),
+        ],
+        ids=["budget", "dump-limit"],
+    )
+    def test_refused_dump_leaves_the_file_alone(self, capsys, tmp_path, argv, message):
+        dump = tmp_path / "states.txt"
+        dump.write_text("kept\n")
+        start = time.process_time()
+        code, out, err = invoke(capsys, "oracle-mul", "--dump-states", str(dump), *argv)
+        assert (code, out) == (1, "") and message in err
+        assert dump.read_text() == "kept\n"
+        assert time.process_time() - start < 1.0
+
+    def test_dump_at_the_limit_lists_every_state(self, capsys, tmp_path):
+        dump = tmp_path / "states.txt"
+        code, _, _ = invoke(capsys, "oracle-mul", "--dump-states", str(dump), "(16,0)", "(0,1)")
+        assert code == 0
+        assert len(dump.read_text().splitlines()) == 1 << 16
+
 
 class TestGammaMul:
     def test_text(self, capsys):
@@ -182,6 +206,13 @@ class TestVerify:
         report = json.loads(out)
         assert all(r["failures"] == [] for r in report)
 
+    def test_coordinate_bound_is_checked_first(self, capsys):
+        start = time.process_time()
+        code, out, err = invoke(capsys, "verify", "--max-coord", str(verify.MAX_COORD + 1))
+        assert (code, out) == (1, "")
+        assert err == f"error: max coordinate {verify.MAX_COORD + 1} exceeds the limit of {verify.MAX_COORD}\n"
+        assert time.process_time() - start < 1.0
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         broken = verify.SweepResult("stub", cases=1, failures=["counterexample"])
         monkeypatch.setattr(verify, "run_all", lambda **kw: [broken])
@@ -234,6 +265,25 @@ class TestErrors:
     def test_bad_vector(self, capsys):
         code, _, err = invoke(capsys, "mul", "(1,0)", "nonsense")
         assert code == 1 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "stdin, start, length",
+        [
+            ("[" * 50_000, "error: expected a pair like (a,b), got '[[[", 50_002),
+            (
+                json.dumps({"basis": "standard", "terms": [{"class": [0] * 20_000, "coeff": {"0": 1}}]}),
+                "error: terms[0].class: expected [a, b], got [0, 0, ",
+                60_000,
+            ),
+        ],
+        ids=["text", "json"],
+    )
+    def test_long_input_is_quoted_by_a_prefix(self, capsys, monkeypatch, stdin, start, length):
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+        code, out, err = invoke(capsys, "psi", "-")
+        assert (code, out) == (1, "")
+        assert err.startswith(start) and err.endswith(f"... ({length} characters)\n")
+        assert len(err) < 150
 
     @pytest.mark.parametrize(
         "verb, text, where",

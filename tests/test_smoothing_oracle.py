@@ -145,8 +145,8 @@ class TestBuildArrangement:
 
     def test_matches_the_scan_builder(self):
         vecs = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
-        pairs = [(u, v) for u in vecs for v in vecs if 0 < det2(u, v) <= 12]
-        assert len(pairs) > 500
+        pairs = [(u, v) for u in vecs for v in vecs if 0 < abs(det2(u, v)) <= 12]
+        assert len(pairs) > 1500
         for u, v in pairs:
             assert build_arrangement(u, v) == scan_arrangement(u, v), (u, v)
 
@@ -262,8 +262,8 @@ class TestContraction:
 
     def test_matches_enumeration_on_small_pairs(self):
         classes = [c.vec for c in canonical_classes(3)]
-        pairs = [(u, v) for u in classes for v in classes if 0 < det2(u, v) <= 12]
-        assert len(pairs) > 200
+        pairs = [(u, v) for u in classes for v in classes if 0 < abs(det2(u, v)) <= 12]
+        assert len(pairs) > 400
         _assert_contraction_matches_enumeration(pairs)
 
     def test_matches_enumeration_with_copies(self):
