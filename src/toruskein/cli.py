@@ -19,6 +19,7 @@ failure.  ``--json`` switches output to the documented JSON forms.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from typing import Sequence
@@ -30,12 +31,11 @@ from .oriented import OrientedElement, gamma_mul, psi, psi_inverse
 from .skein import Basis, SkeinElement, chebyshev_of
 from .smoothing_oracle import (
     DEFAULT_BUDGET,
-    DUMP_LIMIT,
     BudgetExceededError,
     oriented_product_with_ledger,
     unoriented_product,
 )
-from .torus_curves import UnorientedClass, det2, parse_vec
+from .torus_curves import UnorientedClass, parse_vec
 
 
 class _UsageError(Exception):
@@ -148,14 +148,11 @@ def run(argv: Sequence[str] | None = None) -> int:
             x = UnorientedClass.parse(args.x)
             y = UnorientedClass.parse(args.y)
             if args.dump_states:
-                # Refuse before the file opens, so a refused dump clobbers nothing.
-                k = 0 if x.is_empty or y.is_empty else abs(det2(x.vec, y.vec))
-                if k > args.budget:
-                    raise BudgetExceededError(f"{k} crossings exceed the budget of {args.budget}")
-                if k > DUMP_LIMIT:  # the listing has 2^k lines
-                    raise _UsageError(f"{k} crossings exceed the --dump-states limit of {DUMP_LIMIT}")
-                with open(args.dump_states, "w") as dump:
-                    product = unoriented_product(x, y, budget=args.budget, dump=dump)
+                # Open the file only once the product is done, so a refused dump clobbers nothing.
+                dump = io.StringIO()
+                product = unoriented_product(x, y, budget=args.budget, dump=dump)
+                with open(args.dump_states, "w") as out:
+                    out.write(dump.getvalue())
             else:
                 product = unoriented_product(x, y, budget=args.budget)
             _emit(product, args.json)

@@ -240,11 +240,16 @@ def json_int(value: object) -> int:
     raise ValueError(f"expected an integer, got {quoted(value)}")
 
 
-def quoted(value: object, limit: int = 60) -> str:
-    """``repr(value)`` for an error message: past ``limit`` characters only
-    its start and its length, so a huge input gives a short message."""
+_QUOTE_LIMIT = 60  # characters of user input an error message repeats
+
+
+def quoted(value: object) -> str:
+    """``repr(value)`` for an error message: past 60 characters only its
+    start and its length, so a huge input gives a short message."""
     text = repr(value)
-    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+    if len(text) <= _QUOTE_LIMIT:
+        return text
+    return f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"
 
 
 def _coerce(value: "LaurentPoly | int") -> LaurentPoly:

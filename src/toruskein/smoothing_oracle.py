@@ -59,13 +59,13 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .laurent import LaurentPoly, circle_step
+from .laurent import LaurentPoly, circle_step, wrap_nonzero
 from .oriented import OrientedElement
 from .skein import Basis, SkeinElement
 from .torus_curves import EMPTY, UnorientedClass, Vec2, det2, split_signed
 
 DEFAULT_BUDGET = 24
-DUMP_LIMIT = 16  # most crossings --dump-states lists the 2^k states of
+DUMP_LIMIT = 16  # most crossings a dump lists the 2^k states of
 
 # Port roles within a crossing: over-strand in/out, under-strand in/out.
 U_IN, U_OUT, V_IN, V_OUT = 0, 1, 2, 3
@@ -431,13 +431,15 @@ def _contracted_sum(arr: Arrangement) -> StateSum:
     ones, depend only on the sweep, so they are laid out once in an order
     every partial state shares.  A partial state is keyed by one tuple: the
     essential count and direction of the components closed so far, then one
-    entry per open port in layout order, the open path leaving it (the port
-    at its other end, hx, hy, turning).  Its value maps exponents to
-    coefficients.  Resolving a crossing adds its fresh arcs, joins its two
-    port pairs, rewrites the at most four far ends of the joined paths, and
-    closes at most two components, which pass the brute force's checks
-    (``_whole``, then ``_classify``).  Each trivial circle multiplies the
-    coefficient by delta = -A^2 - A^-2 as it closes.
+    entry per open port in layout order.  Each open path is held once, at
+    its end with the lower slot, as the path leaving that end (the port at
+    its other end, hx, hy, turning); the entry at its other end is just that
+    port.  Its value maps exponents to coefficients.  Resolving a crossing
+    adds its fresh arcs, joins its two port pairs, rewrites the at most four
+    far ends of the joined paths, and closes at most two components, which
+    pass the brute force's checks (``_whole``, then ``_classify``).  Each
+    trivial circle multiplies the coefficient by delta = -A^2 - A^-2 as it
+    closes.
     """
     arc_other, disp, denom = arr.arc_other, arr.disp, arr.denom
     pair_a, pair_b, turn = _CORNERS[arr.d0 > 0]
@@ -452,7 +454,9 @@ def _contracted_sum(arr: Arrangement) -> StateSum:
     plan = []
     # The key's entries: the closed count and direction, then the open ports.
     layout: list = ["count", "direction"]
+    where: dict[int, int] = {}
     for c in _sweep_order(arr):
+        before = where
         c4 = 4 * c
         reads, slots, fresh, opened = [], [], {}, []
         for p in range(c4, c4 + 4):
@@ -475,22 +479,28 @@ def _contracted_sum(arr: Arrangement) -> StateSum:
             del layout[i]
         layout += opened[len(slots):]
         pad = [None] * (len(opened) - len(slots))
-        where = {p: i for i, p in enumerate(layout)}
+        # c's own ports sort after every slot, at ``here``.
+        here = len(layout)
+        where = {p: i for i, p in enumerate(layout)} | dict.fromkeys(range(c4, c4 + 4), here)
         choices = [
             (shift, ((c4 + a1, c4 + b1, t1), (c4 + a2, c4 + b2, t2)))
             for shift, ((a1, b1, t1), (a2, b2, t2)) in pairings
         ]
-        plan.append((reads, fresh, drops, pad, where, choices))
+        plan.append((reads, before, fresh, drops, pad, where, here, choices))
 
     states: dict[tuple, dict[int, int]] = {(0, None): {0: 1}}
-    for reads, fresh, drops, pad, where, choices in plan:
+    for reads, before, fresh, drops, pad, where, here, choices in plan:
         nxt: dict[tuple, dict[int, int]] = {}
         for key, poly in states.items():
             local = fresh
             if reads:
                 local = dict(fresh)
                 for p, o in reads:
-                    local[p] = key[o]
+                    path = key[o]
+                    if path.__class__ is int:  # held at its other end
+                        _, hx, hy, tw = key[before[path]]
+                        path = (path, -hx, -hy, -tw)
+                    local[p] = path
             base = list(key)
             for o in drops:
                 del base[o]
@@ -507,14 +517,20 @@ def _contracted_sum(arr: Arrangement) -> StateSum:
                         closed.append(_whole(bx, by, bt + t, denom))
                     else:
                         hx, hy, tw = bx - ax, by - ay, bt + t - at
-                        # A far end at c is joined next; an open one is
-                        # patched into the key (its offset is at least 2).
-                        ends[x] = path = (y, hx, hy, tw)
-                        if o := where.get(x):
-                            entries[o] = path
-                        ends[y] = path = (x, -hx, -hy, -tw)
-                        if o := where.get(y):
-                            entries[o] = path
+                        ox, oy = where[x], where[y]
+                        if ox > oy:  # hold the path at its lower slot
+                            x, y, ox, oy, hx, hy, tw = y, x, oy, ox, -hx, -hy, -tw
+                        # An open far end is patched into the key; one at c
+                        # is joined next.
+                        path = (y, hx, hy, tw)
+                        if ox < here:
+                            entries[ox] = path
+                        else:
+                            ends[x] = path
+                        if oy < here:
+                            entries[oy] = x
+                        else:
+                            ends[y] = (x, -hx, -hy, -tw)
                 circles = 0
                 if closed:
                     circles, added, entries[1] = _classify(closed, direction=key[1])
@@ -543,8 +559,9 @@ def unoriented_product(
 
     The result is a standard-basis skein element.  The state sum is
     contracted crossing by crossing; a ``dump`` lists every state, so it
-    takes the brute-force enumeration instead.  ``workers`` has no effect:
-    the contraction runs in one process, and the parameter stays only because
+    takes the brute-force enumeration instead and at most ``DUMP_LIMIT``
+    crossings.  ``workers`` has no effect: the contraction runs in one
+    process, and the parameter stays only because
     existing callers (the benchmark scripts among them) still pass it.
     Parallel classes (det 0) take the
     crossing-free route: their primitives necessarily agree on the torus,
@@ -563,9 +580,16 @@ def unoriented_product(
         return SkeinElement.generator(UnorientedClass(merged), Basis.STANDARD)
 
     arr = build_arrangement(x.vec, y.vec, budget=budget)
+    if dump is not None and arr.crossing_count > DUMP_LIMIT:  # the listing has 2^k lines
+        raise BudgetExceededError(
+            f"{arr.crossing_count} crossings exceed the limit of {DUMP_LIMIT} for listing states"
+        )
     acc = _contracted_sum(arr) if dump is None else _state_sum(arr, dump)
-    buckets = {EMPTY if key is None else UnorientedClass(key): bucket for key, bucket in acc.items()}
-    return SkeinElement(Basis.STANDARD, SkeinElement._sorted_nonzero(buckets))
+    terms = [
+        (EMPTY if key is None else UnorientedClass(key), wrap_nonzero(bucket))
+        for key, bucket in acc.items()
+    ]
+    return SkeinElement.make(Basis.STANDARD, terms)
 
 
 # ----------------------------------------------------------------------
@@ -639,7 +663,7 @@ def oriented_product_with_ledger(
         raise ArrangementError(
             f"oriented homology {total} does not match {u} + {v}"
         )
-    element = OrientedElement(OrientedElement._sorted_nonzero({total: LaurentPoly.monomial(1, -sign * k)}))
+    element = OrientedElement.make({total: LaurentPoly.monomial(1, -sign * k)})
     return element, GaussLedger(smoothing_exponent=-sign * k)
 
 

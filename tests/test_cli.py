@@ -104,7 +104,7 @@ class TestOracleMul:
         "argv, message",
         [
             (["--budget", "3", "(3,0)", "(0,3)"], "9 crossings exceed the budget of 3"),
-            (["(17,0)", "(0,1)"], "17 crossings exceed the --dump-states limit of 16"),
+            (["(17,0)", "(0,1)"], "17 crossings exceed the limit of 16 for listing states"),
         ],
         ids=["budget", "dump-limit"],
     )
