@@ -14,10 +14,12 @@ delta = -A^2 - A^-2 and the empty diagram evaluates to 1, so the two-crossing
 clasp of two circles comes out to A^6 + A^2 + A^-2 + A^-6 exactly.
 
 The bracket is the sum of A^(#A - #B) * delta^circles over all 2^k states.
-``kauffman_bracket`` evaluates that sum by frontier contraction, resolving
-one crossing at a time and merging partial states that leave the same open
-labels matched the same way.  The test suite keeps two independent
-references: the direct 2^k sum and a recursive splicing evaluator.
+``kauffman_bracket`` evaluates it on the torus oracle's frontier-contraction
+kernel, ``smoothing_oracle.contract``: slot s of crossing i is port 4i+s,
+each edge label is an arc between its two occurrences, and every arc
+carries the payload (0, 0), so every closed component is a circle.  The
+test suite keeps two independent references: the direct 2^k sum and a
+recursive splicing evaluator.
 
 Tuples are stored canonically up to rotation by two (the same unoriented
 crossing re-read from the outgoing under-strand), which makes the over/under
@@ -29,8 +31,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, circle_step
-from .smoothing_oracle import BudgetExceededError, DEFAULT_BUDGET
+from .laurent import LaurentPoly
+from .smoothing_oracle import BudgetExceededError, DEFAULT_BUDGET, contract
 
 Crossing = tuple[int, int, int, int]
 
@@ -99,14 +101,7 @@ def mirror(pd: PDCode) -> PDCode:
     return PDCode(tuple((b, c, d, a) for a, b, c, d in pd.crossings), pd.free_loops)
 
 
-def disjoint_union(first: PDCode, second: PDCode) -> PDCode:
-    """Place two diagrams side by side, relabeling the second to keep labels unique."""
-    offset = max(first.edges(), default=0)
-    shifted = tuple(tuple(e + offset for e in t) for t in second.crossings)
-    return PDCode(first.crossings + shifted, first.free_loops + second.free_loops)
-
-
-def _crossing_order(crossings: tuple[Crossing, ...]) -> list[Crossing]:
+def _crossing_order(crossings: tuple[Crossing, ...]) -> list[int]:
     """Greedy resolution order: next is the crossing that leaves the fewest
     open labels, the lowest index on ties."""
     singles = [frozenset(e for e in t if t.count(e) == 1) for t in crossings]
@@ -116,58 +111,37 @@ def _crossing_order(crossings: tuple[Crossing, ...]) -> list[Crossing]:
     while left:
         best = min(left, key=lambda i: (len(singles[i]) - 2 * len(singles[i] & open_labels), i))
         left.remove(best)
-        order.append(crossings[best])
+        order.append(best)
         open_labels ^= singles[best]
     return order
 
 
-def kauffman_bracket(pd: PDCode, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
-    """The bracket: the sum of A^(#A - #B) * delta^circles over all states.
+# Slots (a, b, c, d) of a crossing: the A-smoothing joins {a, d} and {b, c},
+# the B-smoothing {a, b} and {c, d}, and no join turns.
+_PAIRINGS = ((1, ((0, 3, 0), (1, 2, 0))), (-1, ((0, 1, 0), (2, 3, 0))))
 
-    It is evaluated by resolving one crossing at a time (frontier
-    contraction).  A label is open once the crossing of one of its two
-    occurrences is resolved and the other is not.  A partial state is keyed
-    by the matching of its open labels -- each paired with the open label at
-    the other end of its strand through the resolved crossings -- stored as
-    sorted (smaller, larger) pairs; its value maps exponents to coefficients,
-    and equal keys are merged.  Each circle multiplies the coefficient by
-    delta = -A^2 - A^-2 as it closes, so the cost follows the number of
-    matchings on the frontier, not 2^k.
-    """
+
+def _circles(closed: list, direction: None) -> tuple[int, int, None]:
+    """Every closed component of a planar state is a circle."""
+    return len(closed), 0, None
+
+
+def kauffman_bracket(pd: PDCode, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
+    """The bracket: the sum of A^(#A - #B) * delta^circles over all states,
+    evaluated by ``contract`` in the greedy order.  Partial states that join
+    their open ports the same way are merged, so the cost follows the number
+    of ways to join the frontier, not 2^k."""
     k = pd.crossing_count
     if k > budget:
         raise BudgetExceededError(f"{k} crossings exceed the budget of {budget}")
-    states: dict[tuple, dict[int, int]] = {(): {0: 1}}
-    for a, b, c, d in _crossing_order(pd.crossings):
-        choices = ((1, ((a, d), (b, c))), (-1, ((a, b), (c, d))))
-        nxt: dict[tuple, dict[int, int]] = {}
-        for matching, poly in states.items():
-            # Strands are named by the labels at their ends.  A label first
-            # met here is a strand of its own, with both ends at itself; an
-            # open label's entry is overwritten by its partner in the matching.
-            strands = {a: a, b: b, c: c, d: d}
-            for x, y in matching:
-                strands[x] = y
-                strands[y] = x
-            for shift, joins in choices:
-                # ``ends`` maps each strand end to the strand's other end.
-                ends = dict(strands)
-                circles = 0
-                for x, y in joins:
-                    other_x = ends.pop(x)
-                    if other_x == y:  # x and y end the same strand: a circle
-                        circles += 1
-                        if x != y:
-                            del ends[y]
-                    else:
-                        other_y = ends.pop(y)
-                        ends[other_x] = other_y
-                        ends[other_y] = other_x
-                key = tuple(sorted((x, y) for x, y in ends.items() if x < y))
-                circle_step(nxt.setdefault(key, {}), poly, shift, circles)
-        states = nxt
-    # No label is open any more, so the one remaining key is the empty matching.
-    return LaurentPoly(states[()]) * LaurentPoly.delta() ** pd.free_loops
+    # Port 4i+s is slot s of crossing i; its arc leads to its label's other port.
+    labels = [e for t in pd.crossings for e in t]
+    last = {e: p for p, e in enumerate(labels)}
+    first = {e: p for p, e in reversed(list(enumerate(labels)))}
+    arc_other = [first[e] if p == last[e] else last[e] for p, e in enumerate(labels)]
+    states = contract(arc_other, [(0, 0)] * (4 * k), 1, _crossing_order(pd.crossings), _PAIRINGS, _circles)
+    # Every component is a circle, so the one state left has no essential ones.
+    return LaurentPoly(states[(0, None)]) * LaurentPoly.delta() ** pd.free_loops
 
 
 def add_reidemeister_ii(pd: PDCode, over_edge: int, under_edge: int) -> PDCode:

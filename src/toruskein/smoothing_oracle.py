@@ -22,7 +22,8 @@ on their open paths and closed components are merged (frontier contraction).
 They are taken in a sweep along a shortest cut curve, the primitive class c
 minimising |det2(c, u)| + |det2(c, v)|: by height det2(c, p) mod 1, then along
 the level curve, so about 2(|det2(c, u)| + |det2(c, v)|) ports are open at once.
-Listing every state (``--dump-states``) takes the brute-force enumeration.
+The planar bracket runs on the same kernel, ``contract``.  Listing every
+state (``--dump-states``) takes the brute-force enumeration.
 
 Each crossing has four ports: the over-strand enters at ``u_in`` and leaves at
 ``u_out``, the under-strand at ``v_in``/``v_out``.  The arrangement is one
@@ -57,7 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable, Sequence
 
 from .laurent import LaurentPoly, circle_step, wrap_nonzero
 from .oriented import OrientedElement
@@ -424,29 +425,37 @@ def _sweep_order(arr: Arrangement) -> list[int]:
     return sorted(range(arr.crossing_count), key=height.__getitem__)
 
 
-def _contracted_sum(arr: Arrangement) -> StateSum:
-    """The state sum, resolving one crossing at a time (frontier contraction).
+def contract(
+    arc_other: Sequence[int], disp: Sequence[Vec2], denom: int, order: Iterable[int],
+    pairings: Sequence[tuple[int, Sequence[tuple[int, int, int]]]], classify: Callable[..., tuple],
+) -> dict[tuple, dict[int, int]]:
+    """A state sum over four-port crossings, resolved one at a time in
+    ``order`` (frontier contraction); the torus oracle and the planar bracket
+    both run on it.
+
+    Port 4*c + slot belongs to crossing c.  ``arc_other[p]`` is the port at
+    the other end of p's arc and ``disp[p]`` the payload pair a path sums
+    leaving p, in units of 1/``denom`` (negated at the arc's other end).
+    ``pairings`` holds each resolution as (A-exponent shift, joins (a, b, t)):
+    arrive at slot a, turn t quarter turns, leave by slot b.  The components
+    one choice closes pass ``_whole``, then ``classify(closed, direction=...)``
+    returns (trivial circles, essential count added, direction), given the
+    direction the state's earlier components fixed.  Each trivial circle
+    multiplies the coefficient by delta = -A^2 - A^-2.  Returns {(essential
+    count, direction): {exponent: coeff}}.
 
     The open ports, ports of unresolved crossings whose arcs lead to resolved
-    ones, depend only on the sweep, so they are laid out once in an order
+    ones, depend only on the order, so they are laid out once in an order
     every partial state shares.  A partial state is keyed by one tuple: the
     essential count and direction of the components closed so far, then one
     entry per open port in layout order.  Each open path is held once, at
     its end with the lower slot, as the path leaving that end (the port at
-    its other end, hx, hy, turning); the entry at its other end is just that
-    port.  Its value maps exponents to coefficients.  Resolving a crossing
-    adds its fresh arcs, joins its two port pairs, rewrites the at most four
-    far ends of the joined paths, and closes at most two components, which
-    pass the brute force's checks (``_whole``, then ``_classify``).  Each
-    trivial circle multiplies the coefficient by delta = -A^2 - A^-2 as it
-    closes.
+    its other end and its summed payload and turning); the entry at its
+    other end is just that port.  Its value maps exponents to coefficients.
+    Resolving a crossing adds its fresh arcs, joins its two port pairs,
+    rewrites the at most four far ends of the joined paths, and closes at
+    most two components.
     """
-    arc_other, disp, denom = arr.arc_other, arr.disp, arr.denom
-    pair_a, pair_b, turn = _CORNERS[arr.d0 > 0]
-    pairings = [
-        (shift, [(a, pair[a], turn[(a, pair[a])]) for a in (U_IN, U_OUT)])
-        for pair, shift in ((pair_a, 1), (pair_b, -1))
-    ]
     # Each crossing's plan, made once: where its ports read their paths (an
     # open port from its key entry, any other from its fresh arc), the key
     # entries to drop or add, where each open port's entry sits afterwards,
@@ -455,7 +464,7 @@ def _contracted_sum(arr: Arrangement) -> StateSum:
     # The key's entries: the closed count and direction, then the open ports.
     layout: list = ["count", "direction"]
     where: dict[int, int] = {}
-    for c in _sweep_order(arr):
+    for c in order:
         before = where
         c4 = 4 * c
         reads, slots, fresh, opened = [], [], {}, []
@@ -533,7 +542,7 @@ def _contracted_sum(arr: Arrangement) -> StateSum:
                             ends[y] = (x, -hx, -hy, -tw)
                 circles = 0
                 if closed:
-                    circles, added, entries[1] = _classify(closed, direction=key[1])
+                    circles, added, entries[1] = classify(closed, direction=key[1])
                     entries[0] = key[0] + added
                 out = tuple(entries)
                 acc = nxt.get(out)
@@ -544,7 +553,18 @@ def _contracted_sum(arr: Arrangement) -> StateSum:
                     acc = nxt[out] = {}
                 circle_step(acc, poly, shift, circles)
         states = nxt
-    # No port is open any more, so each state is one residual class.
+    return states
+
+
+def _contracted_sum(arr: Arrangement) -> StateSum:
+    """``contract`` along the shortest-cut sweep, each closed component checked
+    as in the brute force; each final state is one residual class."""
+    pair_a, pair_b, turn = _CORNERS[arr.d0 > 0]
+    pairings = [
+        (shift, [(a, pair[a], turn[(a, pair[a])]) for a in (U_IN, U_OUT)])
+        for pair, shift in ((pair_a, 1), (pair_b, -1))
+    ]
+    states = contract(arr.arc_other, arr.disp, arr.denom, _sweep_order(arr), pairings, _classify)
     return {_residual(count, direction): poly for (count, direction), poly in states.items()}
 
 
@@ -561,23 +581,22 @@ def unoriented_product(
     contracted crossing by crossing; a ``dump`` lists every state, so it
     takes the brute-force enumeration instead and at most ``DUMP_LIMIT``
     crossings.  ``workers`` has no effect: the contraction runs in one
-    process, and the parameter stays only because
-    existing callers (the benchmark scripts among them) still pass it.
-    Parallel classes (det 0) take the
-    crossing-free route: their primitives necessarily agree on the torus,
-    and the product is the merged multicurve with added multiplicity.
+    process, and the parameter stays only because existing callers (the
+    benchmark scripts among them) still pass it.  Empty and parallel classes
+    (det 0) take the crossing-free route: their primitives necessarily agree
+    on the torus, and the product is the merged multicurve with added
+    multiplicity; its one state is listed with the mask 0.
     """
-    if x.is_empty:
-        return SkeinElement.generator(y, Basis.STANDARD)
-    if y.is_empty:
-        return SkeinElement.generator(x, Basis.STANDARD)
-    if det2(x.vec, y.vec) == 0:
-        nx, px = x.split()
-        ny, py = y.split()
-        if px != py:
-            raise ArrangementError("parallel non-trivial torus classes must share a primitive")
-        merged = ((nx + ny) * px[0], (nx + ny) * px[1])
-        return SkeinElement.generator(UnorientedClass(merged), Basis.STANDARD)
+    if x.is_empty or y.is_empty or det2(x.vec, y.vec) == 0:
+        merged = y if x.is_empty else x
+        if not (x.is_empty or y.is_empty):
+            (nx, px), (ny, py) = x.split(), y.split()
+            if px != py:
+                raise ArrangementError("parallel non-trivial torus classes must share a primitive")
+            merged = UnorientedClass(((nx + ny) * px[0], (nx + ny) * px[1]))
+        if dump is not None:
+            dump.write(f"0 0 0 {merged}\n")  # the listing's one line, as _state_sum writes it
+        return SkeinElement.generator(merged, Basis.STANDARD)
 
     arr = build_arrangement(x.vec, y.vec, budget=budget)
     if dump is not None and arr.crossing_count > DUMP_LIMIT:  # the listing has 2^k lines

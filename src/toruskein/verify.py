@@ -150,7 +150,11 @@ def run_all(
     max_mult: int = 3,
     budget: int = 24,
 ) -> list[SweepResult]:
-    if max_coord > MAX_COORD:  # checked before any class is listed
+    # Checked before any class is listed; a negative bound would sweep nothing.
+    for name, bound in ("max_coord", max_coord), ("max_det", max_det), ("max_mult", max_mult):
+        if bound < 0:
+            raise ValueError(f"{name} must be at least 0, got {bound}")
+    if max_coord > MAX_COORD:
         raise ValueError(f"max coordinate {max_coord} exceeds the limit of {MAX_COORD}")
     monomial, total_exp, total_wind = oriented_monomial_sweep(max_coord, max_det, budget)
     grading = SweepResult("aggregate Gauss grading over the oriented sweep", cases=monomial.cases)

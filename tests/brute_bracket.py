@@ -5,7 +5,8 @@ replaced with a frontier contraction.  Every state gets a fresh union-find
 over the edge labels; each union of two already joined labels closes a
 circle.  ``kauffman_bracket_recursive`` resolves the first crossing both ways
 and splices the rest, an independent second path.  Tests compare all three
-on random diagrams.
+on random diagrams.  ``disjoint_union`` places two diagrams side by side, for
+the multiplicativity checks.
 """
 
 from __future__ import annotations
@@ -13,6 +14,13 @@ from __future__ import annotations
 from toruskein.bracket_planar import Crossing, PDCode
 from toruskein.laurent import LaurentPoly
 from toruskein.smoothing_oracle import DEFAULT_BUDGET, BudgetExceededError
+
+
+def disjoint_union(first: PDCode, second: PDCode) -> PDCode:
+    """Place two diagrams side by side, relabeling the second to keep labels unique."""
+    offset = max(first.edges(), default=0)
+    shifted = tuple(tuple(e + offset for e in t) for t in second.crossings)
+    return PDCode(first.crossings + shifted, first.free_loops + second.free_loops)
 
 
 class _UnionFind:

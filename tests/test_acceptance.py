@@ -136,8 +136,9 @@ def test_criterion_8_swap_symmetry():
 
 
 def test_criterion_9_planar_property_suite():
+    from brute_bracket import disjoint_union
     from test_bracket_planar import CORPUS
-    from toruskein.bracket_planar import add_reidemeister_ii, disjoint_union, mirror
+    from toruskein.bracket_planar import add_reidemeister_ii, mirror
 
     start = time.perf_counter()
     failures = []

@@ -1,5 +1,5 @@
 import pytest
-from brute_bracket import brute_bracket, kauffman_bracket_recursive
+from brute_bracket import brute_bracket, disjoint_union, kauffman_bracket_recursive
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +15,6 @@ from toruskein.bracket_planar import (
     UNLINK_2,
     PDCode,
     add_reidemeister_ii,
-    disjoint_union,
     kauffman_bracket,
     mirror,
 )

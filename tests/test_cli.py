@@ -123,6 +123,22 @@ class TestOracleMul:
         assert code == 0
         assert len(dump.read_text().splitlines()) == 1 << 16
 
+    @pytest.mark.parametrize(
+        "x, y, product, line",
+        [
+            ("(1,0)", "(2,0)", "(3,0)", "0 0 0 (3,0)"),
+            ("(1,0)", "empty", "(1,0)", "0 0 0 (1,0)"),
+            ("empty", "empty", "1", "0 0 0 empty"),
+        ],
+        ids=["parallel", "empty", "both-empty"],
+    )
+    def test_crossing_free_dump_lists_its_one_state(self, capsys, tmp_path, x, y, product, line):
+        # No crossings: one state, listed with the mask 0, exponent 0 and no circles.
+        dump = tmp_path / "states.txt"
+        code, out, _ = invoke(capsys, "oracle-mul", "--dump-states", str(dump), x, y)
+        assert (code, out) == (0, product + "\n")
+        assert dump.read_text() == line + "\n"
+
 
 class TestGammaMul:
     def test_text(self, capsys):
@@ -212,6 +228,20 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err == f"error: max coordinate {verify.MAX_COORD + 1} exceeds the limit of {verify.MAX_COORD}\n"
         assert time.process_time() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--max-coord", "-1"], "max_coord must be at least 0, got -1"),
+            (["--max-det", "-5"], "max_det must be at least 0, got -5"),
+            (["--max-mult", "-1"], "max_mult must be at least 0, got -1"),
+        ],
+        ids=["max-coord", "max-det", "max-mult"],
+    )
+    def test_negative_bound_is_rejected(self, capsys, argv, message):
+        # A negative bound lists no case, so it must not report "ok ... 0 cases".
+        code, out, err = invoke(capsys, "verify", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         broken = verify.SweepResult("stub", cases=1, failures=["counterexample"])

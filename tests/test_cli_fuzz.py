@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from brute_bracket import disjoint_union
 from test_bracket_planar import torus_knot
 
 from toruskein import bracket_planar as bp
@@ -87,7 +88,7 @@ def large_pd_code(draw):
         room = target - pd.crossing_count
         parts = [torus_knot(n) for n in range(3, room + 1, 2)]
         parts += [part for part in BUILT_IN if part.crossing_count <= room]
-        grown = [bp.disjoint_union(pd, part) for part in parts]
+        grown = [disjoint_union(pd, part) for part in parts]
         if room >= 2 and pd.crossing_count:
             over, under = draw(st.lists(st.sampled_from(sorted(pd.edges())), min_size=2, max_size=2,
                                         unique=True))

@@ -2,20 +2,26 @@
 compute with that path's arithmetic.  This reads the oracle's source and
 fails if it imports from the Chebyshev module or names the fast product's
 kernels.  It also reads every module of the package and fails if one
-imports anything outside the standard library and the package itself."""
+imports anything outside the standard library and the package itself, and
+reads the planar bracket's source to check that it runs on the oracle's
+contraction kernel rather than a state loop of its own."""
 
 import ast
 import sys
 from pathlib import Path
 
 import toruskein
-from toruskein import smoothing_oracle
+from toruskein import bracket_planar, smoothing_oracle
 
 FAST_PATH_NAMES = {"_mul_chebyshev", "gamma_mul", "power_to_chebyshev"}
 
 
+def _tree(module) -> ast.Module:
+    return ast.parse(Path(module.__file__).read_text(), module.__file__)
+
+
 def _oracle_tree() -> ast.Module:
-    return ast.parse(Path(smoothing_oracle.__file__).read_text(), smoothing_oracle.__file__)
+    return _tree(smoothing_oracle)
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:
@@ -50,6 +56,13 @@ def test_oracle_names_no_fast_product_kernel():
     names = _names(_oracle_tree())
     assert "build_arrangement" in names  # the walk sees the oracle's own names
     assert not names & FAST_PATH_NAMES
+
+
+def test_bracket_runs_on_the_oracle_kernel():
+    # A second contraction loop would accumulate polynomials itself.
+    names = _names(_tree(bracket_planar))
+    assert "contract" in names
+    assert not names & {"circle_step", "add_product"}
 
 
 def test_runtime_imports_only_the_standard_library():
