@@ -83,7 +83,7 @@ class PDCode:
         crossings = []
         loops = 0
         pos = 0
-        token = re.compile(r"\s*(X\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)|O)\s*")
+        token = re.compile(r"\s*(X\s*\(\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\)|O)\s*")
         while pos < len(text):
             m = token.match(text, pos)
             if not m:

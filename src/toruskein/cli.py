@@ -19,6 +19,7 @@ failure.  ``--json`` switches output to the documented JSON forms.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -47,6 +48,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every run
 def _build_parser() -> _Parser:
     parser = _Parser(prog="toruskein", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -173,7 +173,7 @@ class LaurentPoly:
                 sign = -1 if text[i] == "-" else 1
                 i = skip_ws(i + 1)
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             if i == start:
                 raise ParseError(f"expected {what}", start)
@@ -192,7 +192,7 @@ class LaurentPoly:
                 raise ParseError("expected '+' or '-' between terms", i)
             coeff = None
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             if i > start:
                 coeff = int(text[start:i])

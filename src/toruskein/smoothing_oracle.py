@@ -445,60 +445,42 @@ def contract(
     count, direction): {exponent: coeff}}.
 
     The open ports, ports of unresolved crossings whose arcs lead to resolved
-    ones, depend only on the order, so they are laid out once in an order
-    every partial state shares.  A partial state is keyed by one tuple: the
-    essential count and direction of the components closed so far, then one
-    entry per open port in layout order.  Each open path is held once, at
-    its end with the lower slot, as the path leaving that end (the port at
-    its other end and its summed payload and turning); the entry at its
-    other end is just that port.  Its value maps exponents to coefficients.
-    Resolving a crossing adds its fresh arcs, joins its two port pairs,
-    rewrites the at most four far ends of the joined paths, and closes at
-    most two components.
+    ones, depend only on the order, so every partial state lists them in one
+    shared layout.  A partial state is keyed by one tuple: the essential
+    count and direction of the components closed so far, then one entry per
+    open port in layout order.  Each open path is held once, at its end with
+    the earlier entry, as the path leaving that end (the port at its other
+    end and its summed payload and turning); the entry at its other end is
+    just that port.  Its value maps exponents to coefficients.
+
+    Each crossing's bookkeeping is done as the loop reaches it: its open
+    ports read their paths from the key, the others from their fresh arcs;
+    the entries of its open ports are deleted and the ports its fresh arcs
+    open are appended, so the other entries keep their order and each held
+    path its earlier end.  Each state then joins the crossing's two port
+    pairs, rewrites the at most four far ends of the joined paths, and
+    closes at most two components.
     """
-    # Each crossing's plan, made once: where its ports read their paths (an
-    # open port from its key entry, any other from its fresh arc), the key
-    # entries to drop or add, where each open port's entry sits afterwards,
-    # and the two ways to join its ports.
-    plan = []
-    # The key's entries: the closed count and direction, then the open ports.
-    layout: list = ["count", "direction"]
-    where: dict[int, int] = {}
+    states: dict[tuple, dict[int, int]] = {(0, None): {0: 1}}
+    layout: list[int] = []  # the open ports, after the key's count and direction
+    where: dict[int, int] = {}  # each open port's key entry
     for c in order:
         before = where
         c4 = 4 * c
-        reads, slots, fresh, opened = [], [], {}, []
-        for p in range(c4, c4 + 4):
-            if p in layout:
-                i = layout.index(p)
-                reads.append((p, i))
-                slots.append(i)
-            else:
-                q = arc_other[p]
-                fresh[p] = (q, *disp[p], 0)
-                if q >> 2 != c:
-                    opened.append(q)
-        # Ports that open now take the slots of c's ports, in order; slots
-        # left over close up, and further opened ports go at the end.
-        slots.sort()
-        for i, q in zip(slots, opened):
-            layout[i] = q
-        drops = slots[len(opened):][::-1]
-        for i in drops:
-            del layout[i]
-        layout += opened[len(slots):]
-        pad = [None] * (len(opened) - len(slots))
-        # c's own ports sort after every slot, at ``here``.
-        here = len(layout)
-        where = {p: i for i, p in enumerate(layout)} | dict.fromkeys(range(c4, c4 + 4), here)
+        ports = range(c4, c4 + 4)
+        reads = [(p, before[p]) for p in ports if p in before]
+        fresh = {p: (arc_other[p], *disp[p], 0) for p in ports if p not in before}
+        opened = [q for q, *_ in fresh.values() if q >> 2 != c]
+        drops = sorted([o for _, o in reads], reverse=True)
+        pad = [None] * len(opened)
+        layout = [p for p in layout if p >> 2 != c] + opened
+        # c's own ports sort after every entry, at ``here``.
+        here = len(layout) + 2
+        where = {p: i for i, p in enumerate(layout, 2)} | dict.fromkeys(ports, here)
         choices = [
             (shift, ((c4 + a1, c4 + b1, t1), (c4 + a2, c4 + b2, t2)))
             for shift, ((a1, b1, t1), (a2, b2, t2)) in pairings
         ]
-        plan.append((reads, before, fresh, drops, pad, where, here, choices))
-
-    states: dict[tuple, dict[int, int]] = {(0, None): {0: 1}}
-    for reads, before, fresh, drops, pad, where, here, choices in plan:
         nxt: dict[tuple, dict[int, int]] = {}
         for key, poly in states.items():
             local = fresh
@@ -527,7 +509,7 @@ def contract(
                     else:
                         hx, hy, tw = bx - ax, by - ay, bt + t - at
                         ox, oy = where[x], where[y]
-                        if ox > oy:  # hold the path at its lower slot
+                        if ox > oy:  # hold the path at its earlier entry
                             x, y, ox, oy, hx, hy, tw = y, x, oy, ox, -hx, -hy, -tw
                         # An open far end is patched into the key; one at c
                         # is joined next.

@@ -117,7 +117,7 @@ def vec_from_json(data: object) -> Vec2:
     return (json_int(data[0]), json_int(data[1]))
 
 
-_VEC_RE = re.compile(r"^\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)$")
+_VEC_RE = re.compile(r"^\(\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*\)$")
 
 
 def parse_vec(text: str) -> Vec2:

@@ -150,10 +150,13 @@ def run_all(
     max_mult: int = 3,
     budget: int = 24,
 ) -> list[SweepResult]:
-    # Checked before any class is listed; a negative bound would sweep nothing.
+    # Checked before any class is listed; a negative bound, or a zero
+    # coordinate or multiplicity bound, would leave sweeps with no case.
     for name, bound in ("max_coord", max_coord), ("max_det", max_det), ("max_mult", max_mult):
         if bound < 0:
             raise ValueError(f"{name} must be at least 0, got {bound}")
+        if bound == 0 and name != "max_det":
+            raise ValueError(f"{name} must be at least 1: at 0 no class is swept")
     if max_coord > MAX_COORD:
         raise ValueError(f"max coordinate {max_coord} exceeds the limit of {MAX_COORD}")
     monomial, total_exp, total_wind = oriented_monomial_sweep(max_coord, max_det, budget)

@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import toruskein
 from toruskein import chebyshev, verify
 from toruskein.cli import run
 from toruskein.oriented import OrientedElement, psi
@@ -243,6 +247,28 @@ class TestVerify:
         code, out, err = invoke(capsys, "verify", *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--max-coord", "0"], "max_coord must be at least 1: at 0 no class is swept"),
+            (["--max-mult", "0"], "max_mult must be at least 1: at 0 no class is swept"),
+            (
+                ["--max-coord", "0", "--max-det", "0", "--max-mult", "0"],
+                "max_coord must be at least 1: at 0 no class is swept",
+            ),
+        ],
+        ids=["max-coord", "max-mult", "all"],
+    )
+    def test_zero_bound_is_rejected(self, capsys, argv, message):
+        # A zero coordinate or multiplicity bound lists no class for some sweep.
+        code, out, err = invoke(capsys, "verify", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_zero_det_bound_keeps_every_sweep_nonempty(self):
+        # The pairs (x, x) have det 0, so max_det = 0 stays a valid bound.
+        results = verify.run_all(max_coord=1, max_det=0, max_mult=1)
+        assert all(r.ok and r.cases > 0 for r in results), [r.summary() for r in results]
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         broken = verify.SweepResult("stub", cases=1, failures=["counterexample"])
         monkeypatch.setattr(verify, "run_all", lambda **kw: [broken])
@@ -295,6 +321,16 @@ class TestErrors:
     def test_bad_vector(self, capsys):
         code, _, err = invoke(capsys, "mul", "(1,0)", "nonsense")
         assert code == 1 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["mul", "(\u0663,0)", "(0,1)"], ["bracket", "--pd", "X(\u0661,3,2,4) X(3,1,4,2)"]],
+        ids=["class", "pd"],
+    )
+    def test_non_ascii_digits_are_refused(self, capsys, argv):
+        # The text grammars are ASCII, like the JSON ones; int() alone takes Arabic-Indic digits.
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith("error:")
 
     @pytest.mark.parametrize(
         "stdin, start, length",
@@ -362,3 +398,26 @@ class TestErrors:
         code, out, err = invoke(capsys, *argv)
         assert code == 1 and out == ""
         assert "error: --budget must be at least 0" in err
+
+
+class TestOneProcess:
+    def test_successive_runs_match_separate_processes(self, capsys):
+        # run builds its parser once per process; no run may see an earlier
+        # one's verb, flags or usage error.
+        argvs = [
+            ["mul", "--basis", "chebyshev", "(1,0)", "(0,1)"],
+            ["mul", "--basis", "nope", "(1,0)", "(0,1)"],
+            ["bracket", "--json", "--pd", "X(1,3,2,4) X(3,1,4,2)"],
+            ["mul", "(2,1)", "(1,0)"],
+        ]
+        in_process = [invoke(capsys, *argv)[:2] for argv in argvs]
+        src = str(Path(toruskein.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        separate = []
+        for argv in argvs:
+            done = subprocess.run(
+                [sys.executable, "-m", "toruskein", *argv], capture_output=True, text=True, env=env, timeout=60
+            )
+            separate.append((done.returncode, done.stdout))
+        assert in_process == separate
+        assert [code for code, _ in separate] == [0, 1, 0, 0]

@@ -79,7 +79,7 @@ class TestFormatParse:
     def test_parse_merges_like_terms(self):
         assert LaurentPoly.parse("A + A - 2A") == ZERO
 
-    @pytest.mark.parametrize("bad", ["A^", "", "3A 4", "^2", "A^-", "x"])
+    @pytest.mark.parametrize("bad", ["A^", "", "3A 4", "^2", "A^-", "x", "\u0663A", "A^\u0663"])
     def test_parse_errors_carry_position(self, bad):
         with pytest.raises(ParseError) as info:
             LaurentPoly.parse(bad)

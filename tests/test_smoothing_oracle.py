@@ -282,6 +282,20 @@ class TestContraction:
         assert [abs(det2(u, v)) for u, v in pairs] == [13, 14, 15, 15]
         _assert_contraction_matches_enumeration(pairs)
 
+    def test_matches_enumeration_in_shuffled_orders(self, monkeypatch):
+        # The sweep is one order of many: any order must give the same sum,
+        # so the key's delete-and-append bookkeeping is checked off the sweep.
+        rng = random.Random(13)
+        classes = [c.vec for c in canonical_classes(3)]
+        pairs = [(u, v) for u in classes for v in classes if 0 < abs(det2(u, v)) <= 10]
+        for u, v in rng.sample(pairs, 80):
+            arr = build_arrangement(u, v)
+            order = list(range(arr.crossing_count))
+            rng.shuffle(order)
+            monkeypatch.setattr(smoothing_oracle, "_sweep_order", lambda _arr: order)
+            contracted = smoothing_oracle._contracted_sum(arr)
+            assert _sum(contracted) == _sum(smoothing_oracle._state_sum(arr)), (u, v, order)
+
     def test_tampered_turn_table_raises(self, monkeypatch):
         arr = build_arrangement((2, 1), (1, -2))
         turn = smoothing_oracle._CORNERS[arr.d0 > 0][2]
