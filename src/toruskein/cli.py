@@ -22,12 +22,13 @@ import argparse
 import functools
 import io
 import json
+import re
 import sys
 from typing import Sequence
 
 from . import verify as verify_mod
 from .bracket_planar import PDCode, kauffman_bracket
-from .laurent import ParseError
+from .laurent import ParseError, quoted
 from .oriented import OrientedElement, gamma_mul, psi, psi_inverse
 from .skein import Basis, SkeinElement, chebyshev_of
 from .smoothing_oracle import (
@@ -48,6 +49,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _integer(text: str) -> int:
+    """An integer flag's value: an optional minus, then ASCII digits, as in "(a,b)"."""
+    try:
+        if re.fullmatch(r"-?[0-9]+", text):
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer, got {quoted(text)}")
+
+
 @functools.cache  # parse_args leaves the parser as it was, so one serves every run
 def _build_parser() -> _Parser:
     parser = _Parser(prog="toruskein", description=__doc__.splitlines()[0])
@@ -64,14 +75,14 @@ def _build_parser() -> _Parser:
     p.add_argument("y")
 
     p = add("oracle-mul", "smoothing-oracle product of two classes (state sum)")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
     p.add_argument("--dump-states", metavar="PATH", default=None)
     p.add_argument("x")
     p.add_argument("y")
 
     p = add("gamma-mul", "oriented monomial product")
     p.add_argument("--oracle", action="store_true", help="also run the oriented oracle and compare")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
     p.add_argument("u")
     p.add_argument("v")
 
@@ -90,13 +101,13 @@ def _build_parser() -> _Parser:
 
     p = add("bracket", "planar Kauffman bracket of a PD code")
     p.add_argument("--pd", required=True, help='e.g. "X(1,3,2,4) X(3,1,4,2)"; O adds a free loop')
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
 
     p = add("verify", "sweep fast paths against the oracles")
-    p.add_argument("--max-coord", type=int, default=3)
-    p.add_argument("--max-det", type=int, default=10)
-    p.add_argument("--max-mult", type=int, default=3)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--max-coord", type=_integer, default=3)
+    p.add_argument("--max-det", type=_integer, default=10)
+    p.add_argument("--max-mult", type=_integer, default=3)
+    p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
 
     return parser
 

@@ -38,15 +38,17 @@ depend only on the sign of d0.
 Essential components must have zero turning and trivial circles turning +-1;
 violations raise ArrangementError, never a user error.
 
-Resolution conventions (all signs downstream hang off these two choices):
+Resolution conventions (all signs downstream hang off one table):
 
-* A-smoothing: joins u_in<->v_in and u_out<->v_out when d0 > 0, the other
-  pairing when d0 < 0.  This is calibrated so that the product of the (1,0)
-  and (0,1) classes is A*(1,-1) + A^-1*(1,1), and is applied uniformly (all
+* ``_CORNERS``, keyed by d0 > 0, lists the A- then B-resolution as the
+  pairings ``contract`` takes; every walk reads it too.  Each A join from an
+  over-port turns right and each B join left; d0's sign only decides whether
+  A joins u_in to v_in (d0 > 0) or to v_out.  This is calibrated so that
+  (1,0)*(0,1) = A*(1,-1) + A^-1*(1,1), and is applied uniformly (all
   crossings of the flat arrangement share one local frame).
-* Oriented smoothing: the unique orientation-compatible pairing
-  u_in<->v_out, u_out<->v_in, with coefficient A when that pairing is the
-  A-smoothing (d0 < 0) and A^-1 otherwise.
+* Oriented smoothing: the resolution joining u_in to v_out, the only
+  orientation-compatible one, at every crossing, with its A-exponent shift:
+  A when it is the A-resolution (d0 < 0) and A^-1 otherwise.
 
 A counterclockwise trivial circle counts winding +1.  In the oriented algebra
 circles only ever appear in canceling pairs (coefficients -A^2 and -A^-2,
@@ -239,41 +241,13 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
     )
 
 
-def _corners(positive: bool) -> tuple[tuple[int, ...], tuple[int, ...], dict[tuple[int, int], int]]:
-    """The A- and B-pairings of a crossing's ports, and the quarter turn
-    (+1 left, -1 right) taken at each corner, for d0 > 0 or d0 < 0.
-
-    Every crossing of the flat arrangement shares one local frame, so these
-    depend on nothing but the sign of d0.
-    """
-    if positive:
-        pair_a = (V_IN, V_OUT, U_IN, U_OUT)  # u_in<->v_in, u_out<->v_out
-        arrive = (0, 2, 1, 3)  # quarter-turn headings E=0, N=1, W=2, S=3
-        depart = (2, 0, 3, 1)
-    else:
-        pair_a = (V_OUT, V_IN, U_OUT, U_IN)  # u_in<->v_out, u_out<->v_in
-        arrive = (0, 2, 3, 1)
-        depart = (2, 0, 1, 3)
-    # The B-pairing is the complementary matching of over- to under-ports:
-    # flip the in/out bit of every A-partner.
-    pair_b = tuple(pair_a[p] ^ 1 for p in range(4))
-    turn = {}
-    for q in range(4):
-        for r in range(4):
-            if (q < 2) == (r < 2):
-                continue  # smoothings only connect over-ports to under-ports
-            diff = (depart[r] - arrive[q]) % 4
-            if diff == 1:
-                turn[(q, r)] = 1
-            elif diff == 3:
-                turn[(q, r)] = -1
-            else:
-                raise ArrangementError("straight-through corner in turn table")
-    return pair_a, pair_b, turn
-
-
-# (A-pairing, B-pairing, turn table), keyed by d0 > 0.
-_CORNERS = {positive: _corners(positive) for positive in (False, True)}
+# A crossing's A- and B-resolution as ``contract`` takes them, keyed by d0 > 0:
+# (A-exponent shift, joins (over-port, under-port, quarter turns, +1 left)).
+# One local frame serves every crossing, so this is the whole A/B choice.
+_CORNERS = {
+    True: ((1, ((U_IN, V_IN, -1), (U_OUT, V_OUT, -1))), (-1, ((U_IN, V_OUT, 1), (U_OUT, V_IN, 1)))),
+    False: ((1, ((U_IN, V_OUT, -1), (U_OUT, V_IN, -1))), (-1, ((U_IN, V_IN, 1), (U_OUT, V_OUT, 1)))),
+}
 
 
 def _components(arr: Arrangement, mask: int) -> list[tuple[int, int, int, int]]:
@@ -282,11 +256,18 @@ def _components(arr: Arrangement, mask: int) -> list[tuple[int, int, int, int]]:
     Returns (homology_x, homology_y, winding, arc_count) per component,
     homology in unscaled integer units.  Each walk starts at an over-strand
     out-port (every component alternates families, so it has one); under the
-    orientation-compatible pairing it then runs every arc along its strand.
-    The unoriented ``_classify`` is blind to which way a walk runs.
+    orientation-compatible resolution it then runs every arc along its
+    strand.  The unoriented ``_classify`` is blind to which way a walk runs.
+    At each port it leaves by its ``_CORNERS`` partner, turning by the
+    join's turn, negated when the join is walked from its under-port.
     """
     arc_other, disp, denom = arr.arc_other, arr.disp, arr.denom
-    pair_a, pair_b, turn = _CORNERS[arr.d0 > 0]
+    steps = []  # (next port, quarter turn) from each port, A then B
+    for _shift, joins in _CORNERS[arr.d0 > 0]:
+        step = [None] * 4
+        for a, b, t in joins:
+            step[a], step[b] = (b, t), (a, -t)
+        steps.append(step)
     ports = 4 * arr.crossing_count
     seen = [False] * ports
     out = []
@@ -303,9 +284,8 @@ def _components(arr: Arrangement, mask: int) -> list[tuple[int, int, int, int]]:
             arcs += 1
             q = arc_other[p]
             seen[q] = True
-            qt = q & 3
-            rt = (pair_b if (mask >> (q >> 2)) & 1 else pair_a)[qt]
-            turns += turn[(qt, rt)]
+            rt, t = steps[(mask >> (q >> 2)) & 1][q & 3]
+            turns += t
             p = (q & ~3) | rt
             if p == start:
                 break
@@ -437,7 +417,7 @@ def contract(
     the other end of p's arc and ``disp[p]`` the payload pair a path sums
     leaving p, in units of 1/``denom`` (negated at the arc's other end).
     ``pairings`` holds each resolution as (A-exponent shift, joins (a, b, t)):
-    arrive at slot a, turn t quarter turns, leave by slot b.  The components
+    reach slot a, turn t quarter turns, leave by slot b.  The components
     one choice closes pass ``_whole``, then ``classify(closed, direction=...)``
     returns (trivial circles, essential count added, direction), given the
     direction the state's earlier components fixed.  Each trivial circle
@@ -501,7 +481,7 @@ def contract(
                 entries = base.copy()
                 closed = []
                 for a, b, t in joins:
-                    # Arrive at port a, turn by t, leave by port b.
+                    # Reach port a, turn by t, leave by port b.
                     x, ax, ay, at = ends[a]
                     y, bx, by, bt = ends[b]
                     if x == b:
@@ -541,12 +521,8 @@ def contract(
 def _contracted_sum(arr: Arrangement) -> StateSum:
     """``contract`` along the shortest-cut sweep, each closed component checked
     as in the brute force; each final state is one residual class."""
-    pair_a, pair_b, turn = _CORNERS[arr.d0 > 0]
-    pairings = [
-        (shift, [(a, pair[a], turn[(a, pair[a])]) for a in (U_IN, U_OUT)])
-        for pair, shift in ((pair_a, 1), (pair_b, -1))
-    ]
-    states = contract(arr.arc_other, arr.disp, arr.denom, _sweep_order(arr), pairings, _classify)
+    order = _sweep_order(arr)
+    states = contract(arr.arc_other, arr.disp, arr.denom, order, _CORNERS[arr.d0 > 0], _classify)
     return {_residual(count, direction): poly for (count, direction), poly in states.items()}
 
 
@@ -653,19 +629,20 @@ def oriented_product_with_ledger(
 
     arr = build_arrangement(u, v, budget=budget)
     k = arr.crossing_count
-    sign = 1 if arr.d0 > 0 else -1
-    # The orientation-compatible pairing is the A-smoothing exactly when
-    # d0 < 0, so each crossing contributes A^(-sign(d0)).
-    oriented_mask = 0 if arr.d0 < 0 else (1 << k) - 1
-    components = _components(arr, oriented_mask)
+    # Every crossing takes the one orientation-compatible resolution, the one
+    # joining u_in to v_out, and contributes its A-exponent shift.
+    pairings = _CORNERS[arr.d0 > 0]
+    is_b = any((a, b) == (U_IN, V_OUT) for a, b, _ in pairings[1][1])
+    exponent = pairings[is_b][0] * k
+    components = _components(arr, is_b * ((1 << k) - 1))
     _circles, count, direction = _classify(components, oriented=True)
     total = (count * direction[0], count * direction[1])
     if total != (u[0] + v[0], u[1] + v[1]):
         raise ArrangementError(
             f"oriented homology {total} does not match {u} + {v}"
         )
-    element = OrientedElement.make({total: LaurentPoly.monomial(1, -sign * k)})
-    return element, GaussLedger(smoothing_exponent=-sign * k)
+    element = OrientedElement.make({total: LaurentPoly.monomial(1, exponent)})
+    return element, GaussLedger(smoothing_exponent=exponent)
 
 
 def oriented_product(u: Vec2, v: Vec2, budget: int = DEFAULT_BUDGET) -> OrientedElement:

@@ -49,26 +49,25 @@ def canonical_classes(max_coord: int, max_mult: int | None = None) -> list[Unori
     return out
 
 
-def fg_vs_oracle_sweep(max_coord: int = 3, max_det: int = 10, budget: int = 24) -> SweepResult:
+def _pairs(classes: list[UnorientedClass], max_det: int) -> list[tuple[UnorientedClass, UnorientedClass]]:
+    """The ordered pairs of ``classes`` that meet in at most ``max_det`` crossings."""
+    return [(x, y) for x in classes for y in classes if abs(det2(x.vec, y.vec)) <= max_det]
+
+
+def fg_vs_oracle_sweep(max_coord: int, max_det: int, budget: int = oracle.DEFAULT_BUDGET) -> SweepResult:
     """Fast product-to-sum multiplication against the smoothing state sum."""
     result = SweepResult("product-to-sum vs smoothing oracle")
-    classes = canonical_classes(max_coord)
-    for x in classes:
-        for y in classes:
-            if abs(det2(x.vec, y.vec)) > max_det:
-                continue
-            result.cases += 1
-            fast = SkeinElement.generator(x, Basis.STANDARD) * SkeinElement.generator(
-                y, Basis.STANDARD
-            )
-            slow = oracle.unoriented_product(x, y, budget=budget)
-            if fast != slow:
-                result.fail(f"{x} * {y}: fast = {fast}; oracle = {slow}")
+    for x, y in _pairs(canonical_classes(max_coord), max_det):
+        result.cases += 1
+        fast = SkeinElement.generator(x, Basis.STANDARD) * SkeinElement.generator(y, Basis.STANDARD)
+        slow = oracle.unoriented_product(x, y, budget=budget)
+        if fast != slow:
+            result.fail(f"{x} * {y}: fast = {fast}; oracle = {slow}")
     return result
 
 
 def oriented_monomial_sweep(
-    max_coord: int = 3, max_det: int = 12, budget: int = 24
+    max_coord: int, max_det: int, budget: int = oracle.DEFAULT_BUDGET
 ) -> tuple[SweepResult, int, int]:
     """Monomial rule vs the oriented oracle, plus grading bookkeeping.
 
@@ -106,38 +105,32 @@ def oriented_monomial_sweep(
 
 
 def psi_homomorphism_sweep(
-    max_coord: int = 6, max_det: int = 8, max_mult: int = 3, budget: int = 24
+    max_coord: int, max_det: int, max_mult: int, budget: int = oracle.DEFAULT_BUDGET
 ) -> SweepResult:
     """psi(oracle product) against the product of images in the oriented algebra."""
     result = SweepResult("psi homomorphism vs oracle")
     classes = canonical_classes(max_coord, max_mult=max_mult)
     images = {cls: psi(SkeinElement.generator(cls, Basis.STANDARD)) for cls in classes}
-    for x in classes:
-        for y in classes:
-            if abs(det2(x.vec, y.vec)) > max_det:
-                continue
-            result.cases += 1
-            via_skein = psi(oracle.unoriented_product(x, y, budget=budget))
-            via_oriented = images[x] * images[y]
-            if via_skein != via_oriented:
-                result.fail(f"psi({x} * {y}) != psi({x}) psi({y})")
+    for x, y in _pairs(classes, max_det):
+        result.cases += 1
+        via_skein = psi(oracle.unoriented_product(x, y, budget=budget))
+        via_oriented = images[x] * images[y]
+        if via_skein != via_oriented:
+            result.fail(f"psi({x} * {y}) != psi({x}) psi({y})")
     return result
 
 
-def swap_symmetry_sweep(max_coord: int = 3, max_det: int = 10) -> SweepResult:
+def swap_symmetry_sweep(max_coord: int, max_det: int) -> SweepResult:
     """mul(y, x) must equal mul(x, y) with A -> A^-1 on the coefficients."""
     result = SweepResult("swap symmetry of the product-to-sum formula")
     classes = canonical_classes(max_coord)
     gens = {cls: SkeinElement.generator(cls, Basis.CHEBYSHEV) for cls in classes}
-    for x in classes:
-        for y in classes:
-            if abs(det2(x.vec, y.vec)) > max_det:
-                continue
-            result.cases += 1
-            forward = gens[x] * gens[y]
-            backward = gens[y] * gens[x]
-            if backward != forward.map_coefficients(lambda c: c.mirror()):
-                result.fail(f"{x}_T * {y}_T is not mirror-symmetric under swapping")
+    for x, y in _pairs(classes, max_det):
+        result.cases += 1
+        forward = gens[x] * gens[y]
+        backward = gens[y] * gens[x]
+        if backward != forward.map_coefficients(lambda c: c.mirror()):
+            result.fail(f"{x}_T * {y}_T is not mirror-symmetric under swapping")
     return result
 
 
@@ -145,10 +138,7 @@ MAX_COORD = 16  # the sweeps visit pairs of up to (2*MAX_COORD + 1)^2 classes
 
 
 def run_all(
-    max_coord: int = 3,
-    max_det: int = 10,
-    max_mult: int = 3,
-    budget: int = 24,
+    max_coord: int = 3, max_det: int = 10, max_mult: int = 3, budget: int = oracle.DEFAULT_BUDGET
 ) -> list[SweepResult]:
     # Checked before any class is listed; a negative bound, or a zero
     # coordinate or multiplicity bound, would leave sweeps with no case.

@@ -324,11 +324,18 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "argv",
-        [["mul", "(\u0663,0)", "(0,1)"], ["bracket", "--pd", "X(\u0661,3,2,4) X(3,1,4,2)"]],
-        ids=["class", "pd"],
+        [
+            ["mul", "(\u0663,0)", "(0,1)"],
+            ["bracket", "--pd", "X(\u0661,3,2,4) X(3,1,4,2)"],
+            ["oracle-mul", "--budget", "\u0663", "(3,0)", "(0,1)"],
+            ["verify", "--max-coord", "\u0661", "--max-det", "\u0662", "--max-mult", "\u0662"],
+            ["oracle-mul", "--budget", "1_0", "(3,0)", "(0,1)"],
+        ],
+        ids=["class", "pd", "budget", "verify-bounds", "underscore"],
     )
     def test_non_ascii_digits_are_refused(self, capsys, argv):
-        # The text grammars are ASCII, like the JSON ones; int() alone takes Arabic-Indic digits.
+        # The text grammars and integer flags are ASCII, like the JSON ones;
+        # int() alone takes Arabic-Indic digits and underscores.
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (1, "") and err.startswith("error:")
 
@@ -350,6 +357,12 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert err.startswith(start) and err.endswith(f"... ({length} characters)\n")
         assert len(err) < 150
+
+    def test_integer_flag_past_the_digit_limit_is_quoted_by_a_prefix(self, capsys):
+        code, out, err = invoke(capsys, "verify", "--max-det", "9" * 5000)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: argument --max-det: expected an integer, got '999")
+        assert err.endswith("... (5002 characters)\n")
 
     @pytest.mark.parametrize(
         "verb, text, where",

@@ -184,13 +184,14 @@ class TestTrace:
         assert {h in ((1, 1), (-1, -1)) for h in homologies} == {True, False}
 
     def test_trivial_circle_has_unit_winding(self):
-        arr = build_arrangement((1, 1), (1, -1))
-        windings = []
-        for mask in range(4):
-            for hx, hy, winding, _ in _traced(arr, mask):
-                if (hx, hy) == (0, 0):
-                    windings.append(winding)
-        assert sorted(windings) == [-1, 1]
+        for u, v in ((1, 1), (1, -1)), ((1, -1), (1, 1)):  # d0 = -2 and +2
+            arr = build_arrangement(u, v)
+            windings = []
+            for mask in range(4):
+                for hx, hy, winding, _ in _traced(arr, mask):
+                    if (hx, hy) == (0, 0):
+                        windings.append(winding)
+            assert sorted(windings) == [-1, 1], (u, v)
 
 
 class TestClassify:
@@ -296,13 +297,33 @@ class TestContraction:
             contracted = smoothing_oracle._contracted_sum(arr)
             assert _sum(contracted) == _sum(smoothing_oracle._state_sum(arr)), (u, v, order)
 
-    def test_tampered_turn_table_raises(self, monkeypatch):
-        arr = build_arrangement((2, 1), (1, -2))
-        turn = smoothing_oracle._CORNERS[arr.d0 > 0][2]
-        corner = next(iter(turn))
-        monkeypatch.setitem(turn, corner, -turn[corner])
+    @pytest.mark.parametrize(
+        "u, v, resolution, oriented",
+        [
+            ((2, 1), (1, -2), 0, True),  # d0 = -5: A joins u_in to v_out
+            ((2, 1), (1, -2), 1, False),
+            ((1, -2), (2, 1), 0, False),  # d0 = +5: B joins u_in to v_out
+            ((1, -2), (2, 1), 1, True),
+        ],
+        ids=["neg-A", "neg-B", "pos-A", "pos-B"],
+    )
+    def test_tampered_turn_table_raises(self, monkeypatch, u, v, resolution, oriented):
+        # One join turning the wrong way breaks every walk through it; the
+        # oriented product walks only the orientation-compatible resolution.
+        arr = build_arrangement(u, v)
+        pairings = list(smoothing_oracle._CORNERS[arr.d0 > 0])
+        shift, ((a, b, t), join) = pairings[resolution]
+        pairings[resolution] = (shift, ((a, b, -t), join))
+        monkeypatch.setitem(smoothing_oracle._CORNERS, arr.d0 > 0, tuple(pairings))
         with pytest.raises(ArrangementError, match="turn"):
             smoothing_oracle._contracted_sum(arr)
+        with pytest.raises(ArrangementError, match="turn"):
+            smoothing_oracle._state_sum(arr)
+        if oriented:
+            with pytest.raises(ArrangementError, match="turn"):
+                oriented_product(u, v)
+        else:
+            assert oriented_product(u, v) == gamma_mul(u, v)
 
     def test_twenty_six_crossings(self):
         x, y = cls((5, 1)), cls((1, -5))
