@@ -19,6 +19,8 @@ are |d0| crossings and n*m*|d0| = |det2(u, v)| = k in total.
 The unoriented product sums over all 2^k smoothing states without listing
 them: the crossings are resolved one at a time, and partial states that agree
 on their open paths and closed components are merged (frontier contraction).
+A partial state is keyed by one integer per open port: the port at the other
+end of its path plus the path's homology and turning, packed in balanced digits.
 They are taken in a sweep along a shortest cut curve, the primitive class c
 minimising |det2(c, u)| + |det2(c, v)|: by height det2(c, p) mod 1, then along
 the level curve, so about 2(|det2(c, u)| + |det2(c, v)|) ports are open at once.
@@ -60,15 +62,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from operator import itemgetter
 from typing import IO, Callable, Iterable, Sequence
 
-from .laurent import LaurentPoly, circle_step, wrap_nonzero
+from .laurent import LaurentPoly, circle_step
 from .oriented import OrientedElement
 from .skein import Basis, SkeinElement
 from .torus_curves import EMPTY, UnorientedClass, Vec2, det2, split_signed
 
 DEFAULT_BUDGET = 24
 DUMP_LIMIT = 16  # most crossings a dump lists the 2^k states of
+# delta^n = (-A^2 - A^-2)^n for the at most two circles a crossing closes.
+_DELTA_POWERS = (((0, 1),), ((2, -1), (-2, -1)), ((4, 1), (0, 2), (-4, 1)))
 
 # Port roles within a crossing: over-strand in/out, under-strand in/out.
 U_IN, U_OUT, V_IN, V_OUT = 0, 1, 2, 3
@@ -168,20 +174,20 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
     on_u: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     on_v: list[list[tuple[int, int]]] = [[] for _ in range(m)]
     points: dict[Vec2, None] = {}  # in crossing order
-    for j in range(n):
-        ou_x, ou_y = ad0 * (j + 1) * den_v * xux, ad0 * (j + 1) * den_v * xuy
-        for l in range(m):
-            dx = (l + 1) * den_u * xvx - (j + 1) * den_v * xux
-            dy = (l + 1) * den_u * xvy - (j + 1) * den_v * xuy
+    for j, on_j in enumerate(on_u, 1):
+        ou_x, ou_y = ad0 * j * den_v * xux, ad0 * j * den_v * xuy
+        for l, on_l in enumerate(on_v, 1):
+            dx = l * den_u * xvx - j * den_v * xux
+            dy = l * den_u * xvy - j * den_v * xuy
             delta_v = dx * vy - dy * vx
-            e_v, e_xi = ad0 * delta_v, ad0 * (dx * xvy - dy * xvx)
+            e_v, e_xi, ex, ey = ad0 * delta_v, ad0 * (dx * xvy - dy * xvx), ad0 * dx, ad0 * dy
             sols: dict[Vec2, tuple[int, int]] = {}
             for t in range((delta_v if d0 > 0 else -delta_v) % scale, size, scale):
                 i = (t * d0 - e_v) // size
                 s, w = divmod(t * u_xi - e_xi, size)
-                z = (s * vx - i * xvx, s * vy - i * xvy)
-                if t * ux - w * vx == ad0 * dx + size * z[0] and t * uy - w * vy == ad0 * dy + size * z[1]:
-                    sols[z] = (t, w)
+                zx, zy = s * vx - i * xvx, s * vy - i * xvy
+                if t * ux - w * vx == ex + size * zx and t * uy - w * vy == ey + size * zy:
+                    sols[zx, zy] = (t, w)
             if len(sols) != ad0:
                 raise ArrangementError(
                     f"copy pair produced {len(sols)} crossings, expected {ad0}"
@@ -191,8 +197,8 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
                 pt = ((t * ux + ou_x) % size, (t * uy + ou_y) % size)
                 if pt in points:
                     raise ArrangementError(f"two crossings at one point {pt}/{size}")
-                on_u[j].append((t, len(points)))
-                on_v[l].append((w, len(points)))
+                on_j.append((t, len(points)))
+                on_l.append((w, len(points)))
                 points[pt] = None
 
     if len(points) != k:
@@ -206,17 +212,17 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
     ):
         for copy, on_copy in enumerate(on_family):
             on_copy.sort()
+            t_prev, c_prev = on_copy[-1][0] - size, on_copy[-1][1]  # the last crossing, a turn back
             total = 0
-            for (t, ci), (t_next, ci_next) in zip(on_copy, on_copy[1:] + on_copy[:1]):
-                g = (t_next - t) % size
+            for t, ci in on_copy:
+                g = t - t_prev
                 if not g:
-                    if ci != ci_next:
-                        raise ArrangementError(f"parameter tie along {family} copy {copy}")
-                    g = size  # one crossing on this copy: full loop
-                p, q = 4 * ci + out_role, 4 * ci_next + in_role
+                    raise ArrangementError(f"parameter tie along {family} copy {copy}")
+                p, q = 4 * c_prev + out_role, 4 * ci + in_role
                 arc_other[p], arc_other[q] = q, p
                 gap[p], gap[q] = g, -g
                 total += g
+                t_prev, c_prev = t, ci
             if total != size:
                 raise ArrangementError(
                     f"arc displacements along {family} copy {copy} sum to "
@@ -231,14 +237,8 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
         for p, g in enumerate(gap)
     ]
     x0, y0 = next(iter(points))
-    return Arrangement(
-        d0=d0,
-        crossing_count=k,
-        arc_other=tuple(arc_other),
-        disp=tuple(disp),
-        denom=size // unit,
-        point=tuple([((x - x0) % size // unit, (y - y0) % size // unit) for x, y in points]),
-    )
+    point = tuple([((x - x0) % size // unit, (y - y0) % size // unit) for x, y in points])
+    return Arrangement(d0, k, tuple(arc_other), tuple(disp), size // unit, point)  # keywords cost more
 
 
 # A crossing's A- and B-resolution as ``contract`` takes them, keyed by d0 > 0:
@@ -250,6 +250,17 @@ _CORNERS = {
 }
 
 
+@cache
+def _walks(pairings: tuple) -> tuple[tuple, bool]:
+    """Each slot's step (partner slot, quarter turns, negated from an under-port)
+    under A and B, and whether B joins u_in to v_out: once per sign of d0."""
+    steps = ([None] * 4, [None] * 4)
+    for step, (_shift, joins) in zip(steps, pairings):
+        for a, b, t in joins:
+            step[a], step[b] = (b, t), (a, -t)
+    return tuple(map(tuple, steps)), steps[1][U_IN][0] == V_OUT
+
+
 def _components(arr: Arrangement, mask: int) -> list[tuple[int, int, int, int]]:
     """Walk one resolved state; bit i of ``mask`` B-resolves crossing i.
 
@@ -258,16 +269,10 @@ def _components(arr: Arrangement, mask: int) -> list[tuple[int, int, int, int]]:
     out-port (every component alternates families, so it has one); under the
     orientation-compatible resolution it then runs every arc along its
     strand.  The unoriented ``_classify`` is blind to which way a walk runs.
-    At each port it leaves by its ``_CORNERS`` partner, turning by the
-    join's turn, negated when the join is walked from its under-port.
+    At each port it takes the ``_walks`` step of its crossing's resolution.
     """
     arc_other, disp, denom = arr.arc_other, arr.disp, arr.denom
-    steps = []  # (next port, quarter turn) from each port, A then B
-    for _shift, joins in _CORNERS[arr.d0 > 0]:
-        step = [None] * 4
-        for a, b, t in joins:
-            step[a], step[b] = (b, t), (a, -t)
-        steps.append(step)
+    steps = _walks(_CORNERS[arr.d0 > 0])[0]
     ports = 4 * arr.crossing_count
     seen = [False] * ports
     out = []
@@ -305,8 +310,8 @@ def _whole(hx: int, hy: int, turns: int, denom: int) -> tuple[int, int, int]:
 
 def _classify(
     components: Iterable[tuple[int, ...]],
-    oriented: bool = False,
     direction: Vec2 | None = None,
+    oriented: bool = False,
 ) -> tuple[int, int, Vec2 | None]:
     """Check closed components and summarize them.
 
@@ -405,6 +410,23 @@ def _sweep_order(arr: Arrangement) -> list[int]:
     return sorted(range(arr.crossing_count), key=height.__getitem__)
 
 
+def _reach(disp: Sequence[Vec2]) -> int:
+    """The most |hx| or |hy| a path sums, walking each arc (listed twice) once."""
+    return max(sum(abs(dx) for dx, _ in disp), sum(abs(dy) for _, dy in disp)) // 2
+
+
+def _pack(hx: int, hy: int, turns: int, reach: int) -> int:
+    """(hx, hy, turns) as balanced digits base 2*reach + 1, turns on top."""
+    return hx + (2 * reach + 1) * (hy + (2 * reach + 1) * turns)
+
+
+def _unpack(packed: int, reach: int) -> tuple[int, int, int]:
+    """(hx, hy, turns) from ``_pack``, given |hx|, |hy| <= reach."""
+    rest, hx = divmod(packed + reach, 2 * reach + 1)
+    turns, hy = divmod(rest + reach, 2 * reach + 1)
+    return hx - reach, hy - reach, turns
+
+
 def contract(
     arc_other: Sequence[int], disp: Sequence[Vec2], denom: int, order: Iterable[int],
     pairings: Sequence[tuple[int, Sequence[tuple[int, int, int]]]], classify: Callable[..., tuple],
@@ -418,102 +440,94 @@ def contract(
     leaving p, in units of 1/``denom`` (negated at the arc's other end).
     ``pairings`` holds each resolution as (A-exponent shift, joins (a, b, t)):
     reach slot a, turn t quarter turns, leave by slot b.  The components
-    one choice closes pass ``_whole``, then ``classify(closed, direction=...)``
+    one choice closes pass ``_whole``, then ``classify(closed, direction)``
     returns (trivial circles, essential count added, direction), given the
     direction the state's earlier components fixed.  Each trivial circle
     multiplies the coefficient by delta = -A^2 - A^-2.  Returns {(essential
     count, direction): {exponent: coeff}}.
 
     The open ports, ports of unresolved crossings whose arcs lead to resolved
-    ones, depend only on the order, so every partial state lists them in one
-    shared layout.  A partial state is keyed by one tuple: the essential
-    count and direction of the components closed so far, then one entry per
-    open port in layout order.  Each open path is held once, at its end with
-    the earlier entry, as the path leaving that end (the port at its other
-    end and its summed payload and turning); the entry at its other end is
-    just that port.  Its value maps exponents to coefficients.
+    ones, depend only on the order, so all partial states share one layout.
+    A state's key is the essential count and direction closed so far, then
+    one int per open port, the path leaving it: far + (_pack(hx, hy, turns,
+    reach) << B), its other end's port in the low B bits (B = the largest
+    port's bit length) over its summed payload and quarter turns, balanced
+    digits within ``_reach``.  Both ends hold the path, with opposite sums,
+    so a join is integer adds; only a closed component's sums are unpacked.
 
-    Each crossing's bookkeeping is done as the loop reaches it: its open
-    ports read their paths from the key, the others from their fresh arcs;
-    the entries of its open ports are deleted and the ports its fresh arcs
-    open are appended, so the other entries keep their order and each held
-    path its earlier end.  Each state then joins the crossing's two port
-    pairs, rewrites the at most four far ends of the joined paths, and
-    closes at most two components.
+    At each crossing, its own entries (from the key or its fresh arcs) go
+    after the other open ports, then the ports its arcs open.  Each state
+    joins the two port pairs, rewrites the joined paths' far ends, closes at
+    most two components and drops the crossing's entries.  Exponents lack
+    the last resolution's shift per crossing (the start state holds their
+    total), so that resolution copies no polynomial.
     """
-    states: dict[tuple, dict[int, int]] = {(0, None): {0: 1}}
+    bits = (len(arc_other) - 1).bit_length()  # an entry's low bits: the far port
+    mask, reach = (1 << bits) - 1, _reach(disp)
+    turn, step_y = _pack(0, 0, 1, reach) << bits, _pack(0, 1, 0, reach) << bits
+    arcs = [q + (dx << bits) + step_y * dy for q, (dx, dy) in zip(arc_other, disp)]
+    at = [0] * len(arc_other)  # each open port's key entry, 0 if not open
     layout: list[int] = []  # the open ports, after the key's count and direction
-    where: dict[int, int] = {}  # each open port's key entry
+    last = pairings[-1][0]
+    relative = [(shift - last, [(a, b, t * turn) for a, b, t in joins]) for shift, joins in pairings]
+    order = list(order)
+    states: dict[tuple, dict[int, int]] = {(0, None): {last * len(order): 1}}
     for c in order:
-        before = where
         c4 = 4 * c
-        ports = range(c4, c4 + 4)
-        reads = [(p, before[p]) for p in ports if p in before]
-        fresh = {p: (arc_other[p], *disp[p], 0) for p in ports if p not in before}
-        opened = [q for q, *_ in fresh.values() if q >> 2 != c]
-        drops = sorted([o for _, o in reads], reverse=True)
-        pad = [None] * len(opened)
-        layout = [p for p in layout if p >> 2 != c] + opened
-        # c's own ports sort after every entry, at ``here``.
-        here = len(layout) + 2
-        where = {p: i for i, p in enumerate(layout, 2)} | dict.fromkeys(ports, here)
+        reads = [p for p in range(c4, c4 + 4) if at[p]]
+        fresh = [p for p in range(c4, c4 + 4) if not at[p]]
+        opened = [q for p in fresh if (q := arc_other[p]) >> 2 != c]
+        # A state's other entries and c's read ones, then c's fresh arcs and
+        # zeros for the opened ports, which every join rewrites; the opened
+        # ports move down to ``cut`` once c's entries are dropped.
+        layout = [p for p in layout if p >> 2 != c]
+        gather = itemgetter(0, 1, *[at[p] for p in layout + reads])
+        pad = [arcs[p] for p in fresh] + [0] * len(opened)
+        cut = len(layout) + 2
+        for i, p in enumerate(layout + reads + fresh + opened, 2):
+            at[p] = i
+        layout += opened
         choices = [
-            (shift, ((c4 + a1, c4 + b1, t1), (c4 + a2, c4 + b2, t2)))
-            for shift, ((a1, b1, t1), (a2, b2, t2)) in pairings
+            (shift, [(at[c4 + a], at[c4 + b], c4 + b, tt) for a, b, tt in joins])
+            for shift, joins in relative
         ]
         nxt: dict[tuple, dict[int, int]] = {}
         for key, poly in states.items():
-            local = fresh
-            if reads:
-                local = dict(fresh)
-                for p, o in reads:
-                    path = key[o]
-                    if path.__class__ is int:  # held at its other end
-                        _, hx, hy, tw = key[before[path]]
-                        path = (path, -hx, -hy, -tw)
-                    local[p] = path
-            base = list(key)
-            for o in drops:
-                del base[o]
-            base += pad
+            base = [*gather(key), *pad]
             for shift, joins in choices:
-                ends = dict(local)
                 entries = base.copy()
-                closed = []
-                for a, b, t in joins:
-                    # Reach port a, turn by t, leave by port b.
-                    x, ax, ay, at = ends[a]
-                    y, bx, by, bt = ends[b]
+                closed = ()
+                for ia, ib, b, tt in joins:
+                    # Reach port a, turn, leave by port b.
+                    ea, eb = entries[ia], entries[ib]
+                    x = ea & mask
                     if x == b:
-                        closed.append(_whole(bx, by, bt + t, denom))
+                        closed += (_whole(*_unpack((b - ea + tt) >> bits, reach), denom),)
                     else:
-                        hx, hy, tw = bx - ax, by - ay, bt + t - at
-                        ox, oy = where[x], where[y]
-                        if ox > oy:  # hold the path at its earlier entry
-                            x, y, ox, oy, hx, hy, tw = y, x, oy, ox, -hx, -hy, -tw
-                        # An open far end is patched into the key; one at c
-                        # is joined next.
-                        path = (y, hx, hy, tw)
-                        if ox < here:
-                            entries[ox] = path
-                        else:
-                            ends[x] = path
-                        if oy < here:
-                            entries[oy] = x
-                        else:
-                            ends[y] = (x, -hx, -hy, -tw)
+                        y = eb & mask
+                        entries[at[x]] = eb - ea + x + tt
+                        entries[at[y]] = ea - eb + y - tt
+                del entries[cut:cut + 4]
                 circles = 0
                 if closed:
-                    circles, added, entries[1] = classify(closed, direction=key[1])
+                    circles, added, entries[1] = classify(closed, key[1])
                     entries[0] = key[0] + added
                 out = tuple(entries)
                 acc = nxt.get(out)
                 if acc is None:
                     if not circles:
-                        nxt[out] = {e + shift: coeff for e, coeff in poly.items()}
+                        # Only the last resolution has shift 0 (A's and B's shifts
+                        # differ), and it reads ``poly`` last, so it may keep it.
+                        nxt[out] = {e + shift: coeff for e, coeff in poly.items()} if shift else poly
                         continue
                     acc = nxt[out] = {}
-                circle_step(acc, poly, shift, circles)
+                for de, dc in _DELTA_POWERS[circles]:
+                    de += shift
+                    for e, coeff in poly.items():
+                        e += de
+                        acc[e] = acc.get(e, 0) + coeff * dc
+        for i, p in enumerate(opened, cut):
+            at[p] = i
         states = nxt
     return states
 
@@ -561,12 +575,9 @@ def unoriented_product(
         raise BudgetExceededError(
             f"{arr.crossing_count} crossings exceed the limit of {DUMP_LIMIT} for listing states"
         )
-    acc = _contracted_sum(arr) if dump is None else _state_sum(arr, dump)
-    terms = [
-        (EMPTY if key is None else UnorientedClass(key), wrap_nonzero(bucket))
-        for key, bucket in acc.items()
-    ]
-    return SkeinElement.make(Basis.STANDARD, terms)
+    acc = _contracted_sum(arr) if dump is None else _state_sum(arr, dump)  # one bucket per class
+    keyed = {EMPTY if key is None else UnorientedClass(key): bucket for key, bucket in acc.items()}
+    return SkeinElement(Basis.STANDARD, SkeinElement._sorted_nonzero(keyed))
 
 
 # ----------------------------------------------------------------------
@@ -632,7 +643,7 @@ def oriented_product_with_ledger(
     # Every crossing takes the one orientation-compatible resolution, the one
     # joining u_in to v_out, and contributes its A-exponent shift.
     pairings = _CORNERS[arr.d0 > 0]
-    is_b = any((a, b) == (U_IN, V_OUT) for a, b, _ in pairings[1][1])
+    is_b = _walks(pairings)[1]
     exponent = pairings[is_b][0] * k
     components = _components(arr, is_b * ((1 << k) - 1))
     _circles, count, direction = _classify(components, oriented=True)
@@ -641,7 +652,7 @@ def oriented_product_with_ledger(
         raise ArrangementError(
             f"oriented homology {total} does not match {u} + {v}"
         )
-    element = OrientedElement.make({total: LaurentPoly.monomial(1, exponent)})
+    element = OrientedElement(((total, LaurentPoly.monomial(1, exponent)),))
     return element, GaussLedger(smoothing_exponent=exponent)
 
 

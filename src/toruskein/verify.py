@@ -149,6 +149,10 @@ def run_all(
             raise ValueError(f"{name} must be at least 1: at 0 no class is swept")
     if max_coord > MAX_COORD:
         raise ValueError(f"max coordinate {max_coord} exceeds the limit of {MAX_COORD}")
+    products = {i * j for i in range(max_coord + 1) for j in range(max_coord + 1)}
+    largest = max(d for p in products for q in products for d in (p + q, abs(p - q)) if d <= max_det)
+    if largest > budget:  # the most crossings a swept pair has: |a*d - b*c| with |a|, ..., |d| <= max_coord
+        raise ValueError(f"the sweeps reach {largest} crossings, over the budget of {budget}")
     monomial, total_exp, total_wind = oriented_monomial_sweep(max_coord, max_det, budget)
     grading = SweepResult("aggregate Gauss grading over the oriented sweep", cases=monomial.cases)
     if total_exp + 2 * total_wind != 0:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import toruskein
-from toruskein import chebyshev, verify
+from toruskein import chebyshev, smoothing_oracle, verify
 from toruskein.cli import run
 from toruskein.oriented import OrientedElement, psi
 from toruskein.skein import Basis, SkeinElement
@@ -263,6 +263,21 @@ class TestVerify:
         # A zero coordinate or multiplicity bound lists no class for some sweep.
         code, out, err = invoke(capsys, "verify", *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_crossing_budget_is_checked_before_any_sweep(self, capsys, monkeypatch):
+        # |det2((4,4), (-3,4))| = 28 is the largest det up to 30 at coordinate 4.
+        def refuse(*args, **kwargs):
+            raise AssertionError("an arrangement was built before the budget check")
+
+        monkeypatch.setattr(smoothing_oracle, "build_arrangement", refuse)
+        code, out, err = invoke(capsys, "verify", "--max-coord", "4", "--max-det", "30")
+        assert (code, out) == (1, "")
+        assert err == "error: the sweeps reach 28 crossings, over the budget of 24\n"
+
+    def test_crossing_budget_admits_the_largest_reachable_det(self, capsys):
+        # At coordinate 2 no pair has more than 8 crossings, whatever --max-det says.
+        code, out, _ = invoke(capsys, "verify", "--max-coord", "2", "--max-det", "30", "--budget", "8")
+        assert code == 0 and out.count("ok") == 5
 
     def test_zero_det_bound_keeps_every_sweep_nonempty(self):
         # The pairs (x, x) have det 0, so max_det = 0 stays a valid bound.

@@ -343,6 +343,89 @@ class TestContraction:
         assert unoriented_product(cls(u), cls(v), budget=40) == std(u) * std(v)
         assert time.process_time() - start < 1.0
 
+    @pytest.mark.parametrize(
+        "u, v, denom",
+        [
+            ((-8, -6), (-7, -7), 24),  # 2 copies over 7, d0 = -1: k = 14
+            ((8, -6), (7, -7), 24),
+            ((-8, -6), (-6, -3), 24),  # 2 copies over 3, d0 = -2: k = 12
+            ((-8, -6), (-2, 0), 9),  # 2 copies over 2, d0 = 3: k = 12
+        ],
+    )
+    def test_matches_enumeration_on_copy_pairs_with_negative_displacements(self, u, v, denom):
+        # The largest denominators among copy pairs of at most 14 crossings
+        # (coordinates within 8), so the payload digits are as wide as they get.
+        arr = build_arrangement(u, v)
+        assert arr.denom == denom
+        assert any(d < 0 for p in (U_OUT, V_OUT) for d in arr.disp[p])
+        _assert_contraction_matches_enumeration([(u, v)])
+
+
+def _component_arcs(arr, mask):
+    """Each component of one state as its arcs' displacements in walk order."""
+    steps = smoothing_oracle._walks(smoothing_oracle._CORNERS[arr.d0 > 0])[0]
+    seen, out = set(), []
+    for start in range(U_OUT, 4 * arr.crossing_count, 4):
+        if start in seen:
+            continue
+        p, arcs = start, []
+        while not arcs or p != start:
+            q = arr.arc_other[p]
+            seen.update((p, q))
+            arcs.append(arr.disp[p])
+            p = (q & ~3) | steps[(mask >> (q >> 2)) & 1][q & 3][0]
+        out.append(arcs)
+    return out
+
+
+PACKED_PAIRS = [((1, 0), (0, 1)), ((2, 1), (1, -2)), ((-2, -2), (-1, 1)), ((2, -2), (2, 2)), ((-4, -2), (1, -1))]
+
+
+class TestPackedPaths:
+    """``contract`` holds a path as its far port plus (hx, hy, turns) packed
+    by ``_pack`` within the per-arrangement bound ``_reach``."""
+
+    @pytest.mark.parametrize("u, v", PACKED_PAIRS)
+    def test_reach_bounds_every_path(self, u, v):
+        # An open path of a partial state is a run of consecutive arcs of a
+        # component of every state completing it, so all runs of all states
+        # bound what any path sums.
+        arr = build_arrangement(u, v)
+        reach = smoothing_oracle._reach(arr.disp)
+        largest = 0
+        for mask in range(1 << arr.crossing_count):
+            for arcs in _component_arcs(arr, mask):
+                for i in range(len(arcs)):
+                    hx = hy = 0
+                    for dx, dy in arcs[i:] + arcs[:i]:
+                        hx, hy = hx + dx, hy + dy
+                        largest = max(largest, abs(hx), abs(hy))
+        assert 0 < largest <= reach
+
+    @pytest.mark.parametrize("u, v", PACKED_PAIRS)
+    def test_round_trip_at_the_corners_of_the_bound(self, u, v):
+        arr = build_arrangement(u, v)
+        reach, far = smoothing_oracle._reach(arr.disp), 4 * arr.crossing_count - 1
+        bits = far.bit_length()
+        for hx in (-reach, reach):
+            for hy in (-reach, reach):
+                for turns in (-reach, reach):
+                    entry = far + (smoothing_oracle._pack(hx, hy, turns, reach) << bits)
+                    assert entry & ((1 << bits) - 1) == far
+                    assert smoothing_oracle._unpack(entry >> bits, reach) == (hx, hy, turns)
+
+    @given(st.data())
+    def test_round_trip(self, data):
+        u, v = data.draw(st.sampled_from(PACKED_PAIRS))
+        arr = build_arrangement(u, v)
+        reach, bits = smoothing_oracle._reach(arr.disp), (4 * arr.crossing_count - 1).bit_length()
+        digit = st.one_of(st.sampled_from([-reach, reach]), st.integers(-reach, reach))
+        hx, hy, turns = data.draw(digit), data.draw(digit), data.draw(digit)
+        far = data.draw(st.integers(0, 4 * arr.crossing_count - 1))
+        entry = far + (smoothing_oracle._pack(hx, hy, turns, reach) << bits)
+        assert entry & ((1 << bits) - 1) == far
+        assert smoothing_oracle._unpack(entry >> bits, reach) == (hx, hy, turns)
+
 
 class TestShortestCut:
     def test_reduction_finds_the_minimum(self):
