@@ -130,10 +130,12 @@ def kauffman_bracket(pd: PDCode, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
     """The bracket: the sum of A^(#A - #B) * delta^circles over all states,
     evaluated by ``contract`` in the greedy order.  Partial states that join
     their open ports the same way are merged, so the cost follows the number
-    of ways to join the frontier, not 2^k."""
+    of ways to join the frontier, not 2^k.  Free loops count against the
+    budget as crossings do: each multiplies the value by delta."""
     k = pd.crossing_count
-    if k > budget:
-        raise BudgetExceededError(f"{k} crossings exceed the budget of {budget}")
+    if k + pd.free_loops > budget:
+        loops = f" and {pd.free_loops} free loop{'s' * (pd.free_loops > 1)}" if pd.free_loops else ""
+        raise BudgetExceededError(f"{k} crossings{loops} exceed the budget of {budget}")
     # Port 4i+s is slot s of crossing i; its arc leads to its label's other port.
     labels = [e for t in pd.crossings for e in t]
     last = {e: p for p, e in enumerate(labels)}

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import verify as verify_mod
 from .bracket_planar import PDCode, kauffman_bracket
-from .laurent import ParseError, quoted
+from .laurent import quoted
 from .oriented import OrientedElement, gamma_mul, psi, psi_inverse
 from .skein import Basis, SkeinElement, chebyshev_of
 from .smoothing_oracle import (
@@ -173,7 +173,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             u, v = parse_vec(args.u), parse_vec(args.v)
             fast = gamma_mul(u, v)
             if args.oracle:
-                slow, _ledger = oriented_product_with_ledger(u, v, budget=args.budget)
+                slow, _exponent = oriented_product_with_ledger(u, v, budget=args.budget)
                 if fast != slow:
                     print(f"MISMATCH: fast = {fast}; oracle = {slow}", file=sys.stderr)
                     return 2
@@ -218,10 +218,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         else:  # pragma: no cover - argparse enforces the choices
             raise _UsageError(f"unknown command {command!r}")
         return 0
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ParseError, BudgetExceededError, json.JSONDecodeError, OSError) as exc:
+    except (_UsageError, ValueError, BudgetExceededError, OSError) as exc:  # ParseError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -52,10 +52,13 @@ Resolution conventions (all signs downstream hang off one table):
   orientation-compatible one, at every crossing, with its A-exponent shift:
   A when it is the A-resolution (d0 < 0) and A^-1 otherwise.
 
-A counterclockwise trivial circle counts winding +1.  In the oriented algebra
-circles only ever appear in canceling pairs (coefficients -A^2 and -A^-2,
-product 1), so each oriented product keeps a ledger of removed circles; the
-ledger must balance exponent/2 against winding removal by removal.
+A counterclockwise trivial circle counts winding +1.  The oriented smoothing
+of two transverse families closes no circle (``_classify`` raises on one), so
+the product's A-exponent is the resolution's shift times k, and
+``oriented_product_with_ledger`` returns that traced Gauss sum with it.
+Crossing-free products are not traced, in either oracle: the merge of
+parallel copies and the cancellation of antiparallel ones (circles of winding
++1 and -1, coefficients -A^2 and -A^-2, product 1) are asserted.
 """
 
 from __future__ import annotations
@@ -350,25 +353,22 @@ def _classify(
 # Unoriented oracle product
 # ----------------------------------------------------------------------
 
-StateSum = dict[Vec2 | None, dict[int, int]]  # residual class -> {exponent: coeff}
+def _class(count: int, direction: Vec2 | None) -> UnorientedClass:
+    """The residual class of ``count`` essential components along ``direction``."""
+    return EMPTY if count == 0 else UnorientedClass((count * direction[0], count * direction[1]))
 
 
-def _residual(count: int, direction: Vec2 | None) -> Vec2 | None:
-    return None if count == 0 else (count * direction[0], count * direction[1])
-
-
-def _state_sum(arr: Arrangement, dump: IO[str] | None = None) -> StateSum:
-    """Brute force: trace each of the 2^k states, optionally listing them."""
+def _state_sum(arr: Arrangement, dump: IO[str] | None = None) -> dict[tuple, dict[int, int]]:
+    """Brute force: trace each of the 2^k states, optionally listing them;
+    keyed as ``contract`` keys its result."""
     k = arr.crossing_count
-    acc: StateSum = {}
+    acc: dict[tuple, dict[int, int]] = {}
     for mask in range(1 << k):
         exponent = k - 2 * bin(mask).count("1")
         circles, ess_count, ess_dir = _classify(_components(arr, mask))
-        key = _residual(ess_count, ess_dir)
-        circle_step(acc.setdefault(key, {}), {0: 1}, exponent, circles)
+        circle_step(acc.setdefault((ess_count, ess_dir), {}), {0: 1}, exponent, circles)
         if dump is not None:
-            cls_text = "empty" if key is None else f"({key[0]},{key[1]})"
-            dump.write(f"{mask:0{k}b} {exponent} {circles} {cls_text}\n")
+            dump.write(f"{mask:0{k}b} {exponent} {circles} {_class(ess_count, ess_dir)}\n")
     return acc
 
 
@@ -532,12 +532,10 @@ def contract(
     return states
 
 
-def _contracted_sum(arr: Arrangement) -> StateSum:
+def _contracted_sum(arr: Arrangement) -> dict[tuple, dict[int, int]]:
     """``contract`` along the shortest-cut sweep, each closed component checked
-    as in the brute force; each final state is one residual class."""
-    order = _sweep_order(arr)
-    states = contract(arr.arc_other, arr.disp, arr.denom, order, _CORNERS[arr.d0 > 0], _classify)
-    return {_residual(count, direction): poly for (count, direction), poly in states.items()}
+    as in the brute force."""
+    return contract(arr.arc_other, arr.disp, arr.denom, _sweep_order(arr), _CORNERS[arr.d0 > 0], _classify)
 
 
 def unoriented_product(
@@ -575,8 +573,8 @@ def unoriented_product(
         raise BudgetExceededError(
             f"{arr.crossing_count} crossings exceed the limit of {DUMP_LIMIT} for listing states"
         )
-    acc = _contracted_sum(arr) if dump is None else _state_sum(arr, dump)  # one bucket per class
-    keyed = {EMPTY if key is None else UnorientedClass(key): bucket for key, bucket in acc.items()}
+    states = _contracted_sum(arr) if dump is None else _state_sum(arr, dump)  # one bucket per class
+    keyed = {_class(count, direction): bucket for (count, direction), bucket in states.items()}
     return SkeinElement(Basis.STANDARD, SkeinElement._sorted_nonzero(keyed))
 
 
@@ -585,58 +583,18 @@ def unoriented_product(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class GaussLedger:
-    """Exponent/turning bookkeeping for one oriented product.
-
-    ``smoothing_exponent`` is the total A-exponent contributed by crossing
-    resolutions (one -sign(d0) per crossing).  ``removals`` records every
-    deleted trivial circle as (exponent change, winding); a circle of winding
-    w is deleted against the factor -A^(2w), so each entry must satisfy
-    exponent change = 2 * winding.  For transverse families no circles appear
-    at all; removals arise only when antiparallel curves cancel in pairs.
-    """
-
-    smoothing_exponent: int
-    removals: tuple[tuple[int, int], ...] = ()
-
-    @property
-    def removed_winding(self) -> int:
-        return sum(w for _, w in self.removals)
-
-    @property
-    def output_exponent(self) -> int:
-        return self.smoothing_exponent + sum(de for de, _ in self.removals)
-
-    def relation_imbalance(self) -> int:
-        """Sum of (exponent/2 - winding) over removals; zero when every circle
-        deletion balances the grading."""
-        return sum(de - 2 * w for de, w in self.removals) // 2
-
-
+# Keeps its name, by which the benchmark's tracer counts oriented oracle calls.
 def oriented_product_with_ledger(
     u: Vec2, v: Vec2, budget: int = DEFAULT_BUDGET
-) -> tuple[OrientedElement, GaussLedger]:
-    """Oriented superposition product of gamma_u over gamma_v, with bookkeeping."""
-    if u == (0, 0) or v == (0, 0):
-        other = v if u == (0, 0) else u
-        return OrientedElement.gamma(other), GaussLedger(0)
-    d = det2(u, v)
-    if d == 0:
-        # Parallel families: no crossings.  Opposite orientations cancel in
-        # pairs; each cancellation deletes circles of winding +1 and -1 with
-        # coefficients -A^2 and -A^-2, total coefficient 1.
-        nu, pu = split_signed(u)
-        nv, pv = split_signed(v)
-        if pu == pv:
-            cancellations = 0
-        else:
-            if pv != (-pu[0], -pu[1]):
-                raise ArrangementError("parallel oriented classes must be (anti)parallel")
-            cancellations = min(nu, nv)
-        removals = ((2, 1), (-2, -1)) * cancellations
-        total = (u[0] + v[0], u[1] + v[1])
-        return OrientedElement.gamma(total), GaussLedger(0, removals)
+) -> tuple[OrientedElement, int]:
+    """Oriented superposition product of gamma_u over gamma_v, with the Gauss
+    sum it traced: the orientation-compatible resolution's A-exponent shift
+    times the k crossings, 0 when there are none."""
+    if det2(u, v) == 0:
+        # No crossings: an empty, parallel or antiparallel pair.  Antiparallel
+        # copies cancel in pairs, each deleting circles of winding +1 and -1
+        # (coefficients -A^2 and -A^-2, product 1); asserted, not traced.
+        return OrientedElement.gamma((u[0] + v[0], u[1] + v[1])), 0
 
     arr = build_arrangement(u, v, budget=budget)
     k = arr.crossing_count
@@ -653,7 +611,7 @@ def oriented_product_with_ledger(
             f"oriented homology {total} does not match {u} + {v}"
         )
     element = OrientedElement(((total, LaurentPoly.monomial(1, exponent)),))
-    return element, GaussLedger(smoothing_exponent=exponent)
+    return element, exponent
 
 
 def oriented_product(u: Vec2, v: Vec2, budget: int = DEFAULT_BUDGET) -> OrientedElement:

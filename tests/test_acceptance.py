@@ -48,13 +48,13 @@ def test_criterion_2_product_to_sum_vs_oracle():
 def _oriented_sweep_cached():
     if not hasattr(_oriented_sweep_cached, "value"):
         start = time.perf_counter()
-        sweep, total_exp, total_wind = verify.oriented_monomial_sweep(max_coord=3, max_det=12)
-        _oriented_sweep_cached.value = (sweep, total_exp, total_wind, time.perf_counter() - start)
+        sweep, total_exp = verify.oriented_monomial_sweep(max_coord=3, max_det=12)
+        _oriented_sweep_cached.value = (sweep, total_exp, time.perf_counter() - start)
     return _oriented_sweep_cached.value
 
 
 def test_criterion_3_oriented_monomial_rule():
-    sweep, _, _, elapsed = _oriented_sweep_cached()
+    sweep, _, elapsed = _oriented_sweep_cached()
     report(
         "3 (oriented monomial rule vs oracle)",
         sweep.ok and elapsed < 120.0,
@@ -105,19 +105,15 @@ def test_criterion_6_roundtrips():
 
 
 def test_criterion_7_gauss_grading():
-    # Per the turning-number argument behind the oriented basis: deleting a
-    # circle of winding w multiplies by -A^(2w), so every removal must balance
-    # exponent against winding (checked removal-by-removal inside the sweep,
-    # together with the literal per-product identity for the crossing-free
-    # products); summed over the full ordered sweep the output exponents and
-    # removed windings must each cancel to zero.
-    sweep, total_exp, total_wind, elapsed = _oriented_sweep_cached()
-    aggregate_ok = (total_exp + 2 * total_wind) == 0
+    # Each oracle product's A-exponent is the Gauss sum it traced, -det2(u, v);
+    # criterion 3's sweep holds every ordered pair both ways round, so the
+    # exponents sum to 0.  An error antisymmetric in (u, v) would sum to 0 as
+    # well; criterion 3 compares each product on its own.
+    sweep, total_exp, _ = _oriented_sweep_cached()
     report(
-        "7 (Gauss grading bookkeeping over criterion 3's sweep)",
-        sweep.ok and aggregate_ok,
-        f"{sweep.cases} products; sum of output exponents = {total_exp}, "
-        f"sum of removed windings = {total_wind}",
+        "7 (Gauss grading over criterion 3's sweep)",
+        total_exp == 0,
+        f"{sweep.cases} products; sum of the oracle's exponents = {total_exp}",
     )
 
 

@@ -150,6 +150,15 @@ def test_budget_guard():
         kauffman_bracket_recursive(big)
 
 
+def test_free_loops_count_against_the_budget():
+    with pytest.raises(BudgetExceededError, match="^2 crossings and 23 free loops exceed the budget of 24$"):
+        kauffman_bracket(PDCode(HOPF_LINK.crossings, 23))
+    assert kauffman_bracket(PDCode(HOPF_LINK.crossings, 22)) == kauffman_bracket(HOPF_LINK) * DELTA**22
+    # A code without free loops keeps the crossings-only message.
+    with pytest.raises(BudgetExceededError, match="^3 crossings exceed the budget of 2$"):
+        kauffman_bracket(TREFOIL, budget=2)
+
+
 def test_split_kinks_have_more_circles_than_crossings():
     # The all-B state of two negative kinks side by side has four circles.
     two_kinks = disjoint_union(KINK_NEGATIVE, KINK_NEGATIVE)

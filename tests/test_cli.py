@@ -49,6 +49,15 @@ class TestBracket:
         assert code == 0
         assert out.strip() == "A^-4 + 2 + A^4"
 
+    def test_free_loops_count_against_the_budget(self, capsys):
+        from toruskein.laurent import LaurentPoly
+
+        loops = " ".join(["O"] * 25)
+        code, out, err = invoke(capsys, "bracket", "--pd", loops)
+        assert (code, out, err) == (1, "", "error: 0 crossings and 25 free loops exceed the budget of 24\n")
+        code, out, _ = invoke(capsys, "bracket", "--budget", "25", "--pd", loops)
+        assert code == 0 and LaurentPoly.parse(out) == LaurentPoly.delta() ** 25
+
     def test_bad_pd_is_user_error(self, capsys):
         code, _, err = invoke(capsys, "bracket", "--pd", "X(1,2,3)")
         assert code == 1 and "error:" in err
@@ -283,6 +292,21 @@ class TestVerify:
         # The pairs (x, x) have det 0, so max_det = 0 stays a valid bound.
         results = verify.run_all(max_coord=1, max_det=0, max_mult=1)
         assert all(r.ok and r.cases > 0 for r in results), [r.summary() for r in results]
+
+    def test_grading_row_fails_when_one_exponent_is_off(self, monkeypatch):
+        traced = smoothing_oracle.oriented_product_with_ledger
+
+        def skewed(u, v, budget=smoothing_oracle.DEFAULT_BUDGET):
+            element, exponent = traced(u, v, budget=budget)
+            return element, exponent + ((u, v) == ((1, 0), (0, 1)))
+
+        monkeypatch.setattr(smoothing_oracle, "oriented_product_with_ledger", skewed)
+        results = verify.run_all(max_coord=1, max_det=2, max_mult=1)
+        assert [r.name for r in results if not r.ok] == ["aggregate Gauss grading over the oriented sweep"]
+        assert results[2].summary().startswith(
+            "FAIL aggregate Gauss grading over the oriented sweep: 81 cases, "
+            "e.g. the oracle's exponents sum to 1, not 0"
+        )
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         broken = verify.SweepResult("stub", cases=1, failures=["counterexample"])

@@ -557,19 +557,15 @@ class TestOrientedProduct:
                 assert oriented_product(u, v) == gamma_mul(u, v)
 
     def test_ledger_for_transverse_families(self):
-        _, ledger = oriented_product_with_ledger((1, 2), (2, 1))
-        assert ledger.smoothing_exponent == -det2((1, 2), (2, 1))
-        assert ledger.removals == ()
-        assert ledger.output_exponent == 3
+        # The traced Gauss sum: one A^(-sign(d0)) per crossing, here 3 of them.
+        u, v = (1, 2), (2, 1)
+        assert oriented_product_with_ledger(u, v) == (
+            OrientedElement.make({(3, 3): LaurentPoly.parse("A^3")}), -det2(u, v)
+        )
 
     def test_ledger_for_cancelling_pairs(self):
-        element, ledger = oriented_product_with_ledger((2, 0), (-3, 0))
-        assert element == OrientedElement.gamma((-1, 0))
-        assert ledger.smoothing_exponent == 0
-        # two cancellations, each deleting a +1 and a -1 circle
-        assert ledger.removals == ((2, 1), (-2, -1), (2, 1), (-2, -1))
-        assert ledger.relation_imbalance() == 0
-        assert ledger.output_exponent == 0 and ledger.removed_winding == 0
+        # No crossings, so nothing is traced: the cancellation is asserted.
+        assert oriented_product_with_ledger((2, 0), (-3, 0)) == (OrientedElement.gamma((-1, 0)), 0)
 
 
 class TestPsiOracle:
