@@ -44,7 +44,7 @@ class LaurentPoly:
         items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
         for exp, coeff in items:
             acc[exp] = acc.get(exp, 0) + coeff
-        object.__setattr__(self, "_terms", _nonzero(acc))
+        self._terms = _nonzero(acc)
 
     # ----- constructors -----
 
@@ -59,7 +59,7 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, coeff: int, exp: int) -> "LaurentPoly":
         """coeff * A^exp, or zero when coeff == 0."""
-        return cls({exp: coeff}) if coeff else _ZERO
+        return _wrap({exp: coeff}) if coeff else _ZERO
 
     @classmethod
     def delta(cls) -> "LaurentPoly":
@@ -102,12 +102,6 @@ class LaurentPoly:
             base = base * base
             n >>= 1
         return result
-
-    def shifted(self, exp: int) -> "LaurentPoly":
-        """Multiply by A^exp (translate every exponent)."""
-        if not exp:
-            return self
-        return _wrap({e + exp: c for e, c in self._terms.items()})
 
     def mirror(self) -> "LaurentPoly":
         """Substitute A -> A^-1 (negate every exponent)."""
@@ -263,7 +257,7 @@ def _coerce(value: "LaurentPoly | int") -> LaurentPoly:
 def _wrap(canonical: dict[int, int]) -> LaurentPoly:
     # Internal fast path: `canonical` must already be free of zero coefficients.
     poly = object.__new__(LaurentPoly)
-    object.__setattr__(poly, "_terms", canonical)
+    poly._terms = canonical
     return poly
 
 

@@ -20,8 +20,8 @@ from math import comb
 from typing import Iterable, Mapping
 
 from .chebyshev import check_degree
-from .laurent import LaurentPoly, accumulate, add_product
-from .skein import Basis, BasisMismatchError, SkeinElement, TermMap, format_terms
+from .laurent import ONE, LaurentPoly, accumulate, add_product
+from .skein import Basis, BasisMismatchError, SkeinElement, TermMap, format_terms, vec_terms
 from .torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize, det2, vec_from_json
 
 
@@ -65,11 +65,11 @@ class OrientedElement(TermMap):
 
     @classmethod
     def unit(cls) -> "OrientedElement":
-        return cls.make({(0, 0): LaurentPoly.one()})
+        return cls((((0, 0), ONE),))
 
     @classmethod
     def gamma(cls, key: Vec2) -> "OrientedElement":
-        return cls.make({key: LaurentPoly.one()})
+        return cls((((int(key[0]), int(key[1])), ONE),))
 
     # ----- algebra structure -----
 
@@ -79,14 +79,11 @@ class OrientedElement(TermMap):
             ut = cu._terms
             for (c, d), cv in other._terms:
                 add_product(maps.setdefault((a + c, b + d), {}), ut, cv._terms, b * c - a * d)
-        return OrientedElement(OrientedElement._sorted_nonzero(maps))
+        return OrientedElement(tuple(vec_terms(maps, (0, 0))))
 
     def theta(self) -> "OrientedElement":
         """Reverse the orientation of every generator: key v -> -v."""
         return OrientedElement.make([((-k[0], -k[1]), c) for k, c in self._terms])
-
-    def is_symmetric(self) -> bool:
-        return self.theta() == self
 
     # ----- text and JSON forms -----
 
@@ -100,9 +97,7 @@ class OrientedElement(TermMap):
 
 def gamma_mul(u: Vec2, v: Vec2) -> OrientedElement:
     """Product of two oriented monomials: A^(-det2(u, v)) * gamma_(u+v)."""
-    return OrientedElement.make(
-        {(u[0] + v[0], u[1] + v[1]): LaurentPoly.monomial(1, -det2(u, v))}
-    )
+    return OrientedElement((((u[0] + v[0], u[1] + v[1]), LaurentPoly.monomial(1, -det2(u, v))),))
 
 
 def psi(x: SkeinElement) -> OrientedElement:
@@ -126,7 +121,7 @@ def psi(x: SkeinElement) -> OrientedElement:
         for k in range(n + 1):
             s = 2 * k - n
             accumulate(maps, (s * p, s * q), coeff, comb(n, k))
-    return OrientedElement(OrientedElement._sorted_nonzero(maps))
+    return OrientedElement(tuple(vec_terms(maps, (0, 0))))
 
 
 def psi_chebyshev(x: SkeinElement) -> OrientedElement:

@@ -36,7 +36,7 @@ from enum import Enum
 
 from . import chebyshev
 from .laurent import (
-    ZERO, LaurentPoly, accumulate, add_product, join_signed, quoted, signed_monomial,
+    ONE, ZERO, LaurentPoly, accumulate, add_product, join_signed, quoted, signed_monomial,
     wrap_nonzero,
 )
 from .torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize
@@ -80,12 +80,6 @@ class TermMap:
             if type(coeff) is not LaurentPoly:
                 coeff = ZERO + coeff
             accumulate(acc, key, coeff)
-        return cls._sorted_nonzero(acc)
-
-    @classmethod
-    def _sorted_nonzero(cls, acc: dict) -> tuple:
-        """The terms of ``acc`` (key -> LaurentPoly or bare map, which is
-        wrapped), zero coefficients dropped, sorted by key order."""
         out = []
         for key, c in acc.items():
             if type(c) is dict:
@@ -210,11 +204,11 @@ class SkeinElement(TermMap):
 
     @classmethod
     def unit(cls, basis: Basis) -> "SkeinElement":
-        return cls.make(basis, {EMPTY: LaurentPoly.one()})
+        return cls(Basis(basis), ((EMPTY, ONE),))
 
     @classmethod
     def generator(cls, key: UnorientedClass, basis: Basis) -> "SkeinElement":
-        return cls.make(basis, {key: LaurentPoly.one()})
+        return cls(Basis(basis), ((key, ONE),))
 
     def _check_compatible(self, other: "SkeinElement") -> None:
         if self.basis != other.basis:
@@ -252,7 +246,7 @@ class SkeinElement(TermMap):
             for j, c in expansion(n):
                 if c:
                     accumulate(maps, (j * p, j * q) if j else None, coeff, c)
-        return _from_vec_maps(target, maps)
+        return from_vec_maps(target, maps)
 
     # ----- multiplication -----
 
@@ -308,14 +302,32 @@ def _mul_chebyshev(x: SkeinElement, y: SkeinElement) -> SkeinElement:
                     else:
                         w, scale = None, 2
                 add_product(maps.setdefault(w, {}), xt, yt, shift, scale)
-    return _from_vec_maps(Basis.CHEBYSHEV, maps)
+    return from_vec_maps(Basis.CHEBYSHEV, maps)
 
 
-def _from_vec_maps(basis: Basis, maps: dict) -> SkeinElement:
+def from_vec_maps(basis: Basis, maps: dict) -> SkeinElement:
     """The element whose coefficients are the values of ``maps`` (bare maps or
     LaurentPolys), keyed by canonical vector (None: the empty class)."""
-    keyed = {EMPTY if vec is None else UnorientedClass(vec): m for vec, m in maps.items()}
-    return SkeinElement(basis, SkeinElement._sorted_nonzero(keyed))
+    terms = vec_terms(maps, None)
+    return SkeinElement(basis, tuple([(EMPTY if v is None else UnorientedClass(v), c) for v, c in terms]))
+
+
+def vec_terms(maps: dict, unit) -> list:
+    """The (vector, LaurentPoly) terms of a fast algebra's output ``maps``,
+    whose values are LaurentPolys or bare maps (wrapped here): zero
+    coefficients dropped, the vectors in tuple order and the ``unit`` key
+    last, which is both elements' key order.  Takes the unit out of ``maps``."""
+    last = maps.pop(unit, None)
+    items = sorted(maps.items())  # distinct keys: no coefficient is compared
+    if last is not None:
+        items.append((unit, last))
+    out = []
+    for vec, c in items:
+        if type(c) is dict:
+            c = wrap_nonzero(c)
+        if c:
+            out.append((vec, c))
+    return out
 
 
 def format_terms(terms, suffix: str = "", key_str=str) -> str:

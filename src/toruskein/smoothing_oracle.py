@@ -64,14 +64,13 @@ parallel copies and the cancellation of antiparallel ones (circles of winding
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
 from .laurent import LaurentPoly, circle_step
 from .oriented import OrientedElement
-from .skein import Basis, SkeinElement
+from .skein import Basis, SkeinElement, from_vec_maps
 from .torus_curves import EMPTY, UnorientedClass, Vec2, det2, split_signed
 
 DEFAULT_BUDGET = 24
@@ -91,8 +90,7 @@ class ArrangementError(RuntimeError):
     """Internal consistency failure while building or tracing an arrangement."""
 
 
-@dataclass(frozen=True, slots=True)
-class Arrangement:
+class Arrangement(NamedTuple):
     """Generic-position superposition of two transverse multicurve families.
 
     Port 4*i + role belongs to crossing i.  ``arc_other[p]`` is the port at
@@ -121,8 +119,9 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     return abs(a), sign * x0, sign * y0
 
 
+@cache
 def _transversal(prim: Vec2) -> Vec2:
-    """A vector xi with det2(prim, xi) = 1."""
+    """A vector xi with det2(prim, xi) = 1; a pure table, as ``_walks`` is."""
     g, s, t = _extended_gcd(prim[0], prim[1])
     if g != 1:
         raise ValueError(f"{prim} is not primitive")
@@ -184,19 +183,19 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
             dy = l * den_u * xvy - j * den_v * xuy
             delta_v = dx * vy - dy * vx
             e_v, e_xi, ex, ey = ad0 * delta_v, ad0 * (dx * xvy - dy * xvx), ad0 * dx, ad0 * dy
-            sols: dict[Vec2, tuple[int, int]] = {}
+            sols = []  # (translate z, t, w), each checked against both line equations
             for t in range((delta_v if d0 > 0 else -delta_v) % scale, size, scale):
                 i = (t * d0 - e_v) // size
                 s, w = divmod(t * u_xi - e_xi, size)
                 zx, zy = s * vx - i * xvx, s * vy - i * xvy
                 if t * ux - w * vx == ex + size * zx and t * uy - w * vy == ey + size * zy:
-                    sols[zx, zy] = (t, w)
+                    sols.append((zx, zy, t, w))
             if len(sols) != ad0:
                 raise ArrangementError(
                     f"copy pair produced {len(sols)} crossings, expected {ad0}"
                 )
-            for z in sorted(sols):
-                t, w = sols[z]
+            sols.sort()  # t fixes z, so the translates are distinct
+            for _zx, _zy, t, w in sols:
                 pt = ((t * ux + ou_x) % size, (t * uy + ou_y) % size)
                 if pt in points:
                     raise ArrangementError(f"two crossings at one point {pt}/{size}")
@@ -235,10 +234,7 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
     # The least common denominator of all displacements, so of point
     # differences; each gap times a primitive vector has content |gap|.
     unit = math.gcd(size, *gap)
-    disp = [
-        (g * vx // unit, g * vy // unit) if p & 2 else (g * ux // unit, g * uy // unit)
-        for p, g in enumerate(gap)
-    ]
+    disp = [(g * x // unit, g * y // unit) for g, (x, y) in zip(gap, (pu, pu, pv, pv) * k)]
     x0, y0 = next(iter(points))
     point = tuple([((x - x0) % size // unit, (y - y0) % size // unit) for x, y in points])
     return Arrangement(d0, k, tuple(arc_other), tuple(disp), size // unit, point)  # keywords cost more
@@ -328,7 +324,8 @@ def _classify(
     in two directions.
     """
     circles = count = 0
-    for hx, hy, winding, *_ in components:
+    for component in components:
+        hx, hy, winding = component[0], component[1], component[2]
         if hx == 0 and hy == 0:
             if oriented:
                 raise ArrangementError("trivial circle in an oriented smoothing")
@@ -438,11 +435,12 @@ def contract(
     Port 4*c + slot belongs to crossing c.  ``arc_other[p]`` is the port at
     the other end of p's arc and ``disp[p]`` the payload pair a path sums
     leaving p, in units of 1/``denom`` (negated at the arc's other end).
-    ``pairings`` holds each resolution as (A-exponent shift, joins (a, b, t)):
-    reach slot a, turn t quarter turns, leave by slot b.  The components
-    one choice closes pass ``_whole``, then ``classify(closed, direction)``
-    returns (trivial circles, essential count added, direction), given the
-    direction the state's earlier components fixed.  Each trivial circle
+    ``pairings`` holds each resolution as (A-exponent shift, its two joins
+    (a, b, t)): reach slot a, turn t quarter turns, leave by slot b.  The
+    components one choice closes pass ``_whole``, then ``classify(closed,
+    direction)`` returns (trivial circles, essential count added, direction),
+    given the direction the state's earlier components fixed; both run once
+    per distinct (closed paths' sums, direction) in a call.  Each trivial circle
     multiplies the coefficient by delta = -A^2 - A^-2.  Returns {(essential
     count, direction): {exponent: coeff}}.
 
@@ -469,56 +467,74 @@ def contract(
     at = [0] * len(arc_other)  # each open port's key entry, 0 if not open
     layout: list[int] = []  # the open ports, after the key's count and direction
     last = pairings[-1][0]
-    relative = [(shift - last, [(a, b, t * turn) for a, b, t in joins]) for shift, joins in pairings]
+    relative = [
+        (shift - last, a, b, t * turn, a2, b2, t2 * turn) for shift, ((a, b, t), (a2, b2, t2)) in pairings
+    ]
     order = list(order)
+    closings: dict[tuple, tuple] = {}  # (closed paths' packed sums, direction) -> classify's answer
     states: dict[tuple, dict[int, int]] = {(0, None): {last * len(order): 1}}
     for c in order:
         c4 = 4 * c
-        reads = [p for p in range(c4, c4 + 4) if at[p]]
-        fresh = [p for p in range(c4, c4 + 4) if not at[p]]
-        opened = [q for p in fresh if (q := arc_other[p]) >> 2 != c]
+        reads, fresh, opened = [], [], []
+        for p in range(c4, c4 + 4):
+            if at[p]:
+                reads.append(p)
+                layout.remove(p)
+            else:
+                fresh.append(p)
+                if (q := arc_other[p]) >> 2 != c:
+                    opened.append(q)
         # A state's other entries and c's read ones, then c's fresh arcs and
         # zeros for the opened ports, which every join rewrites; the opened
         # ports move down to ``cut`` once c's entries are dropped.
-        layout = [p for p in layout if p >> 2 != c]
         gather = itemgetter(0, 1, *[at[p] for p in layout + reads])
         pad = [arcs[p] for p in fresh] + [0] * len(opened)
         cut = len(layout) + 2
         for i, p in enumerate(layout + reads + fresh + opened, 2):
             at[p] = i
         layout += opened
+        # Each resolution's two joins (reach port a, turn, leave by port b),
+        # each as the entries of a and b, b itself and the turn.
         choices = [
-            (shift, [(at[c4 + a], at[c4 + b], c4 + b, tt) for a, b, tt in joins])
-            for shift, joins in relative
+            (shift, at[c4 + a], at[c4 + b], c4 + b, t, at[c4 + a2], at[c4 + b2], c4 + b2, t2)
+            for shift, a, b, t, a2, b2, t2 in relative
         ]
         nxt: dict[tuple, dict[int, int]] = {}
         for key, poly in states.items():
             base = [*gather(key), *pad]
-            for shift, joins in choices:
+            for shift, ia, ib, b, t, ia2, ib2, b2, t2 in choices:
                 entries = base.copy()
-                closed = ()
-                for ia, ib, b, tt in joins:
-                    # Reach port a, turn, leave by port b.
-                    ea, eb = entries[ia], entries[ib]
-                    x = ea & mask
-                    if x == b:
-                        closed += (_whole(*_unpack((b - ea + tt) >> bits, reach), denom),)
-                    else:
-                        y = eb & mask
-                        entries[at[x]] = eb - ea + x + tt
-                        entries[at[y]] = ea - eb + y - tt
+                ea, eb = entries[ia], entries[ib]
+                if (x := ea & mask) == b:  # a's path ends at b: it closes
+                    closed = ((b - ea + t) >> bits,)
+                else:
+                    closed = ()
+                    y = eb & mask
+                    entries[at[x]] = eb - ea + x + t
+                    entries[at[y]] = ea - eb + y - t
+                ea, eb = entries[ia2], entries[ib2]
+                if (x := ea & mask) == b2:
+                    closed += ((b2 - ea + t2) >> bits,)
+                else:
+                    y = eb & mask
+                    entries[at[x]] = eb - ea + x + t2
+                    entries[at[y]] = ea - eb + y - t2
                 del entries[cut:cut + 4]
                 circles = 0
                 if closed:
-                    circles, added, entries[1] = classify(closed, key[1])
+                    seen = closings.get(found := (closed, key[1]))
+                    if seen is None:  # the first such closing in this call
+                        whole = [_whole(*_unpack(sums, reach), denom) for sums in closed]
+                        seen = closings[found] = classify(whole, key[1])
+                    circles, added, entries[1] = seen
                     entries[0] = key[0] + added
                 out = tuple(entries)
                 acc = nxt.get(out)
                 if acc is None:
-                    if not circles:
+                    if not (circles or shift):
                         # Only the last resolution has shift 0 (A's and B's shifts
                         # differ), and it reads ``poly`` last, so it may keep it.
-                        nxt[out] = {e + shift: coeff for e, coeff in poly.items()} if shift else poly
+                        nxt[out] = poly
                         continue
                     acc = nxt[out] = {}
                 for de, dc in _DELTA_POWERS[circles]:
@@ -559,11 +575,8 @@ def unoriented_product(
     """
     if x.is_empty or y.is_empty or det2(x.vec, y.vec) == 0:
         merged = y if x.is_empty else x
-        if not (x.is_empty or y.is_empty):
-            (nx, px), (ny, py) = x.split(), y.split()
-            if px != py:
-                raise ArrangementError("parallel non-trivial torus classes must share a primitive")
-            merged = UnorientedClass(((nx + ny) * px[0], (nx + ny) * px[1]))
+        if not (x.is_empty or y.is_empty):  # two canonical parallel classes: n*p and m*p
+            merged = UnorientedClass((x.vec[0] + y.vec[0], x.vec[1] + y.vec[1]))
         if dump is not None:
             dump.write(f"0 0 0 {merged}\n")  # the listing's one line, as _state_sum writes it
         return SkeinElement.generator(merged, Basis.STANDARD)
@@ -574,8 +587,9 @@ def unoriented_product(
             f"{arr.crossing_count} crossings exceed the limit of {DUMP_LIMIT} for listing states"
         )
     states = _contracted_sum(arr) if dump is None else _state_sum(arr, dump)  # one bucket per class
-    keyed = {_class(count, direction): bucket for (count, direction), bucket in states.items()}
-    return SkeinElement(Basis.STANDARD, SkeinElement._sorted_nonzero(keyed))
+    return from_vec_maps(Basis.STANDARD, {
+        (count * d[0], count * d[1]) if count else None: bucket for (count, d), bucket in states.items()
+    })
 
 
 # ----------------------------------------------------------------------

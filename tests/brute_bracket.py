@@ -11,6 +11,8 @@ the multiplicativity checks.
 
 from __future__ import annotations
 
+from references import shifted
+
 from toruskein.bracket_planar import Crossing, PDCode
 from toruskein.laurent import LaurentPoly
 from toruskein.smoothing_oracle import DEFAULT_BUDGET, BudgetExceededError
@@ -103,6 +105,6 @@ def kauffman_bracket_recursive(pd: PDCode, budget: int = DEFAULT_BUDGET) -> Laur
         (a, b, c, d), rest = crossings[0], crossings[1:]
         rest_a, loops_a = splice(rest, ((a, d), (b, c)), loops)
         rest_b, loops_b = splice(rest, ((a, b), (c, d)), loops)
-        return go(rest_a, loops_a).shifted(1) + go(rest_b, loops_b).shifted(-1)
+        return shifted(go(rest_a, loops_a), 1) + shifted(go(rest_b, loops_b), -1)
 
     return go(pd.crossings, pd.free_loops)

@@ -1,9 +1,11 @@
 """The bare-map accumulation of the fast algebra against the term-by-term
 LaurentPoly formulas in ``references``: products in both bases, both basis
 changes, oriented products and psi, on elements whose coefficients cancel.
-Also the two ways it avoids copies: a coefficient that lands alone on its key
-passes through as the same object and is never written into, and a
-standard-basis element made by ``to_standard`` keeps its Chebyshev form."""
+Also the one helper that finishes every vector-keyed output map, against
+``make``, and the two ways the accumulation avoids copies: a coefficient
+that lands alone on its key passes through as the same object and is never
+written into, and a standard-basis element made by ``to_standard`` keeps its
+Chebyshev form."""
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from references import BOUNDED, coeffs
 
 from toruskein.laurent import LaurentPoly, accumulate
 from toruskein.oriented import OrientedElement, psi
-from toruskein.skein import Basis, SkeinElement
+from toruskein.skein import Basis, SkeinElement, from_vec_maps, vec_terms
 from toruskein.torus_curves import EMPTY, UnorientedClass, canonicalize
 
 # Small classes, so u == v (a (0,0)_T hit) and coinciding outputs are common.
@@ -79,6 +81,52 @@ def test_psi_matches_the_binomial_form(ts):
     before = x.to_json()
     assert_same(psi(x), ref.psi(x))
     assert x.to_json() == before
+
+
+# A fast algebra's finished output: vector keys (None or (0, 0) for the unit),
+# each value a LaurentPoly or a bare map, zero coefficients and entries included.
+bare_maps = st.dictionaries(st.integers(-2, 2), st.integers(-1, 1), max_size=3)
+values = st.one_of(coeffs, bare_maps)
+vectors = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+skein_vec_maps = st.dictionaries(
+    st.one_of(st.none(), vectors.filter(lambda v: v != (0, 0)).map(lambda v: canonicalize(v)[0].vec)),
+    values,
+    max_size=6,
+)
+oriented_vec_maps = st.dictionaries(st.one_of(st.just((0, 0)), vectors), values, max_size=6)
+
+
+def _poly(value) -> LaurentPoly:
+    return value if isinstance(value, LaurentPoly) else LaurentPoly(value)
+
+
+def assert_finished_like_make(finished, made) -> None:
+    assert finished.terms() == made.terms()  # the same keys in the same order
+    assert_stored_nonzero(finished)
+    for key, coeff in made.terms():
+        assert finished.coefficient(key) == coeff  # bisect finds every key
+
+
+@BOUNDED
+@given(skein_vec_maps)
+def test_finishing_vector_maps_gives_what_make_gives(maps):
+    made = SkeinElement.make(
+        Basis.CHEBYSHEV, {(EMPTY if v is None else UnorientedClass(v)): _poly(c) for v, c in maps.items()}
+    )
+    finished = from_vec_maps(Basis.CHEBYSHEV, {v: dict(c) if type(c) is dict else c for v, c in maps.items()})
+    assert_finished_like_make(finished, made)
+    if None not in maps:
+        assert finished.coefficient(EMPTY) == 0
+
+
+@BOUNDED
+@given(oriented_vec_maps)
+def test_finishing_oriented_vector_maps_gives_what_make_gives(maps):
+    made = OrientedElement.make({v: _poly(c) for v, c in maps.items()})
+    terms = vec_terms({v: dict(c) if type(c) is dict else c for v, c in maps.items()}, (0, 0))
+    assert_finished_like_make(OrientedElement(tuple(terms)), made)
+    if (0, 0) not in maps:
+        assert OrientedElement(tuple(terms)).coefficient((0, 0)) == 0
 
 
 def cheb(terms: dict) -> SkeinElement:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from references import BOUNDED, coeffs
+from references import BOUNDED, coeffs, shifted
 
 from toruskein.laurent import A, DELTA, ONE, ZERO, LaurentPoly, ParseError, circle_step
 
@@ -122,7 +122,7 @@ def test_mirror_and_shift():
     poly = LaurentPoly({3: 2, -1: -5})
     assert poly.mirror() == LaurentPoly({-3: 2, 1: -5})
     assert poly.mirror().mirror() == poly
-    assert poly.shifted(2) == LaurentPoly({5: 2, 1: -5})
+    assert shifted(poly, 2) == LaurentPoly({5: 2, 1: -5})
     assert (A + A.mirror()) ** 2 == LaurentPoly({2: 1, 0: 2, -2: 1})
 
 
@@ -164,7 +164,7 @@ class TestStoredOrder:
         polys = [
             LaurentPoly([(4, 1), (1, -5), (0, 7), (-3, 2)]),
             LaurentPoly({-4: 1, -1: -5, 0: 7, 3: 2}).mirror(),
-            LaurentPoly({2: 1, -1: -5, -2: 7, -5: 2}).shifted(2),
+            shifted(LaurentPoly({2: 1, -1: -5, -2: 7, -5: 2}), 2),
             LaurentPoly({3: 1, 0: -5, -1: 7, -4: 2}) * A,
         ]
         for poly in polys:
@@ -185,7 +185,7 @@ polys = st.dictionaries(st.integers(-9, 9), st.integers(-99, 99), max_size=6).ma
 def test_circle_step_multiplies_by_a_shift_and_delta_powers(acc, poly, shift, circles):
     bare = dict(acc.terms())
     circle_step(bare, dict(poly.terms()), shift, circles)
-    assert LaurentPoly(bare) == acc + poly.shifted(shift) * DELTA**circles
+    assert LaurentPoly(bare) == acc + shifted(poly, shift) * DELTA**circles
 
 
 # ----- one product loop: ring operations against plain-dict references -----

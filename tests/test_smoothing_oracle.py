@@ -325,6 +325,50 @@ class TestContraction:
         else:
             assert oriented_product(u, v) == gamma_mul(u, v)
 
+    def test_classify_runs_once_per_distinct_closing(self, monkeypatch):
+        # Within one contraction a repeated (closed components, direction)
+        # reuses its first answer; the sum still matches the enumeration.
+        calls = []
+        classify = smoothing_oracle._classify
+
+        def counted(closed, direction):
+            calls.append((tuple(closed), direction))
+            return classify(closed, direction)
+
+        for u, v in [((2, 1), (1, -2)), ((2, 2), (2, -2)), ((3, -6), (0, 4))]:
+            arr = build_arrangement(u, v)
+            expected = smoothing_oracle._state_sum(arr) if arr.crossing_count <= 8 else None
+            calls.clear()
+            monkeypatch.setattr(smoothing_oracle, "_classify", counted)
+            contracted = smoothing_oracle._contracted_sum(arr)
+            monkeypatch.undo()
+            assert calls and len(set(calls)) == len(calls), (u, v)
+            if expected is not None:
+                assert _sum(contracted) == _sum(expected), (u, v)
+
+    @pytest.mark.parametrize("u, v", [((2, 1), (1, -2)), ((2, 2), (2, -2))])
+    def test_a_classify_error_raises_through_the_contraction(self, monkeypatch, u, v):
+        # The component classified last in a clean run is refused by a stub:
+        # the closing that holds it must still reach the stub and raise.
+        seen = []
+        classify = smoothing_oracle._classify
+        monkeypatch.setattr(
+            smoothing_oracle, "_classify", lambda closed, d: seen.extend(closed) or classify(closed, d)
+        )
+        smoothing_oracle._contracted_sum(build_arrangement(u, v))
+        refused = seen[-1]
+
+        def stub(closed, direction):
+            if refused in closed:
+                raise ArrangementError(f"stub refuses {refused}")
+            return classify(closed, direction)
+
+        monkeypatch.setattr(smoothing_oracle, "_classify", stub)
+        with pytest.raises(ArrangementError, match="stub refuses"):
+            smoothing_oracle._contracted_sum(build_arrangement(u, v))
+        with pytest.raises(ArrangementError, match="stub refuses"):
+            unoriented_product(cls(u), cls(v))
+
     def test_twenty_six_crossings(self):
         x, y = cls((5, 1)), cls((1, -5))
         assert unoriented_product(x, y, budget=26) == std((5, 1)) * std((1, -5))
@@ -465,6 +509,17 @@ class TestUnorientedProduct:
     def test_parallel_union(self):
         assert unoriented_product(cls((1, 0)), cls((1, 0))) == std((2, 0))
         assert unoriented_product(cls((2, 4)), cls((1, 2))) == std((3, 6))
+
+    def test_every_parallel_pair_gives_the_fast_product(self):
+        # Two canonical classes with det2 0 are multiples of one primitive, so
+        # the crossing-free route only adds their multiplicities.
+        classes = canonical_classes(8)
+        pairs = [(x, y) for x in classes for y in classes if det2(x.vec, y.vec) == 0]
+        assert len(pairs) == 448
+        for x, y in pairs:
+            product = unoriented_product(x, y)
+            assert product == std(x.vec) * std(y.vec), (x, y)
+            assert product.support() == (cls((x.vec[0] + y.vec[0], x.vec[1] + y.vec[1])),)
 
     def test_small_pairs_store_no_zero_coefficient(self):
         # The state sums' buckets do hold zero entries on these pairs, so each
