@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 from .chebyshev import check_degree
 from .laurent import ONE, LaurentPoly, accumulate, add_product
-from .skein import Basis, BasisMismatchError, SkeinElement, TermMap, format_terms, vec_terms
+from .skein import Basis, BasisMismatchError, SkeinElement, TermMap, finish_terms, format_terms
 from .torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize, det2, vec_from_json
 
 
@@ -36,19 +36,13 @@ class AsymmetricElementError(ValueError):
         self.witness = witness
 
 
-def _key_sort(key: Vec2) -> tuple[int, int, int]:
-    # Nonzero keys in lexicographic order, the unit key last.
-    return (1, 0, 0) if key == (0, 0) else (0, key[0], key[1])
-
-
 @dataclass(frozen=True, slots=True)
 class OrientedElement(TermMap):
     """A finite R-linear combination of oriented monomials gamma_v."""
 
     _terms: tuple[tuple[Vec2, LaurentPoly], ...] = field(default=())
 
-    _key_order = staticmethod(_key_sort)
-    _normalize_key = staticmethod(lambda key: (int(key[0]), int(key[1])))
+    _UNIT = (0, 0)
     _JSON_KEY = "gamma"
     _key_to_json = staticmethod(lambda key: [key[0], key[1]])
     _key_from_json = staticmethod(vec_from_json)
@@ -79,7 +73,7 @@ class OrientedElement(TermMap):
             ut = cu._terms
             for (c, d), cv in other._terms:
                 add_product(maps.setdefault((a + c, b + d), {}), ut, cv._terms, b * c - a * d)
-        return OrientedElement(tuple(vec_terms(maps, (0, 0))))
+        return OrientedElement(tuple(finish_terms(maps, (0, 0))))
 
     def theta(self) -> "OrientedElement":
         """Reverse the orientation of every generator: key v -> -v."""
@@ -88,7 +82,7 @@ class OrientedElement(TermMap):
     # ----- text and JSON forms -----
 
     def __str__(self) -> str:
-        return format_terms(self._terms, key_str=lambda k: f"g({k[0]},{k[1]})")
+        return format_terms(self._terms, self._UNIT, key_str=lambda k: f"g({k[0]},{k[1]})")
 
     @classmethod
     def from_json(cls, data: Mapping) -> "OrientedElement":
@@ -121,7 +115,7 @@ def psi(x: SkeinElement) -> OrientedElement:
         for k in range(n + 1):
             s = 2 * k - n
             accumulate(maps, (s * p, s * q), coeff, comb(n, k))
-    return OrientedElement(tuple(vec_terms(maps, (0, 0))))
+    return OrientedElement(tuple(finish_terms(maps, (0, 0))))
 
 
 def psi_chebyshev(x: SkeinElement) -> OrientedElement:

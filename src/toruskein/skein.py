@@ -33,6 +33,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import itemgetter
 
 from . import chebyshev
 from .laurent import (
@@ -56,39 +57,26 @@ class TermMap:
     combination of keys with coefficients in Z[A, A^-1].
 
     Subclasses are frozen dataclasses whose ``_terms`` field holds (key,
-    nonzero LaurentPoly) pairs sorted by ``_key_order``; they also name the
+    nonzero LaurentPoly) pairs as ``finish_terms`` leaves them: the keys in
+    their own order and the unit key ``_UNIT`` last.  They also name the
     key's JSON field and forms.
     """
 
     __slots__ = ()
 
-    _normalize_key = None
-
     @classmethod
     def _collect(cls, terms) -> tuple:
-        """Merge equal keys, drop zero coefficients and sort by key order.
+        """Merge equal keys (``accumulate``), then finish the terms.
 
         A key seen once keeps its coefficient as it is; a repeated key sums
-        into a bare map (``accumulate``).
+        into a bare map.
         """
         acc: dict = {}
-        normalize = cls._normalize_key
-        items = terms.items() if isinstance(terms, (dict, Mapping)) else terms
-        for key, coeff in items:
-            if normalize is not None:
-                key = normalize(key)
+        for key, coeff in terms.items() if isinstance(terms, Mapping) else terms:
             if type(coeff) is not LaurentPoly:
                 coeff = ZERO + coeff
             accumulate(acc, key, coeff)
-        out = []
-        for key, c in acc.items():
-            if type(c) is dict:
-                c = wrap_nonzero(c)
-            if c:
-                out.append((key, c))
-        order = cls._key_order
-        out.sort(key=lambda kv: order(kv[0]))
-        return tuple(out)
+        return tuple(finish_terms(acc, cls._UNIT))
 
     def _check_compatible(self, other) -> None:
         """Raise if ``other`` cannot be added to this element."""
@@ -99,8 +87,11 @@ class TermMap:
         return self._terms
 
     def coefficient(self, key) -> LaurentPoly:
-        terms, order = self._terms, self._key_order
-        i = bisect_left(terms, order(key), key=lambda kv: order(kv[0]))
+        terms, unit = self._terms, self._UNIT
+        has_unit = bool(terms) and terms[-1][0] == unit
+        if key == unit:
+            return terms[-1][1] if has_unit else ZERO
+        i = bisect_left(terms, key, 0, len(terms) - has_unit, key=itemgetter(0))
         if i < len(terms) and terms[i][0] == key:
             return terms[i][1]
         return ZERO
@@ -185,7 +176,7 @@ class SkeinElement(TermMap):
     # Set once, by to_standard only: the Chebyshev element this one expands.
     _chebyshev: SkeinElement | None = field(default=None, init=False, compare=False, repr=False)
 
-    _key_order = staticmethod(UnorientedClass.sort_key)
+    _UNIT = EMPTY
     _JSON_KEY = "class"
     _key_to_json = staticmethod(UnorientedClass.to_json)
     _key_from_json = staticmethod(UnorientedClass.from_json)
@@ -259,7 +250,7 @@ class SkeinElement(TermMap):
     # ----- text and JSON forms -----
 
     def __str__(self) -> str:
-        return format_terms(self._terms, suffix="_T" if self.basis == Basis.CHEBYSHEV else "")
+        return format_terms(self._terms, self._UNIT, suffix="_T" if self.basis == Basis.CHEBYSHEV else "")
 
     def to_json(self) -> dict:
         return {"basis": self.basis.value, **TermMap.to_json(self)}
@@ -308,39 +299,38 @@ def _mul_chebyshev(x: SkeinElement, y: SkeinElement) -> SkeinElement:
 def from_vec_maps(basis: Basis, maps: dict) -> SkeinElement:
     """The element whose coefficients are the values of ``maps`` (bare maps or
     LaurentPolys), keyed by canonical vector (None: the empty class)."""
-    terms = vec_terms(maps, None)
+    terms = finish_terms(maps, None)
     return SkeinElement(basis, tuple([(EMPTY if v is None else UnorientedClass(v), c) for v, c in terms]))
 
 
-def vec_terms(maps: dict, unit) -> list:
-    """The (vector, LaurentPoly) terms of a fast algebra's output ``maps``,
-    whose values are LaurentPolys or bare maps (wrapped here): zero
-    coefficients dropped, the vectors in tuple order and the ``unit`` key
-    last, which is both elements' key order.  Takes the unit out of ``maps``."""
+def finish_terms(maps: dict, unit) -> list:
+    """The (key, LaurentPoly) terms of ``maps``, whose values are LaurentPolys
+    or bare maps (wrapped here): zero coefficients dropped, the keys in their
+    own order and the ``unit`` key last.  Every element is finished here, so
+    this is both elements' term order.  Takes the unit out of ``maps``."""
     last = maps.pop(unit, None)
-    items = sorted(maps.items())  # distinct keys: no coefficient is compared
+    items = sorted(maps.items(), key=itemgetter(0))
     if last is not None:
         items.append((unit, last))
     out = []
-    for vec, c in items:
+    for key, c in items:
         if type(c) is dict:
             c = wrap_nonzero(c)
         if c:
-            out.append((vec, c))
+            out.append((key, c))
     return out
 
 
-def format_terms(terms, suffix: str = "", key_str=str) -> str:
+def format_terms(terms, unit, suffix: str = "", key_str=str) -> str:
     """Shared pretty-printer: ``coeff key`` terms joined by signs.
 
     Single-term coefficients print bare (``A^-1 (1,1)``), multi-term ones are
-    parenthesized; unit coefficients are dropped; the empty/unit key prints as
+    parenthesized; unit coefficients are dropped; the ``unit`` key prints as
     a constant term.
     """
     parts = []
     for key, coeff in terms:
-        is_unit_key = getattr(key, "is_empty", False) or key == (0, 0)
-        name = "" if is_unit_key else key_str(key) + suffix
+        name = "" if key == unit else key_str(key) + suffix
         items = coeff.terms()
         if len(items) == 1:
             sign, body = signed_monomial(*items[0])

@@ -43,7 +43,8 @@ class UnorientedClass:
     """Canonical isotopy class of a toric multicurve, or the empty curve.
 
     ``vec`` is None for the empty class; otherwise it is a nonzero vector in
-    the canonical half-plane.
+    the canonical half-plane.  Classes order by ``vec``; the empty class is
+    not ordered, since terms keep it last, out of every sort.
     """
 
     vec: Vec2 | None
@@ -69,11 +70,8 @@ class UnorientedClass:
     def multiplicity(self) -> int:
         return 0 if self.vec is None else self.split()[0]
 
-    def sort_key(self) -> tuple[int, int, int]:
-        # Vector classes in lexicographic order, the empty class last.
-        if self.vec is None:
-            return (1, 0, 0)
-        return (0, self.vec[0], self.vec[1])
+    def __lt__(self, other: UnorientedClass) -> bool:
+        return self.vec < other.vec
 
     def __str__(self) -> str:
         if self.vec is None:

@@ -6,6 +6,8 @@ that ``oriented.psi``'s binomial closed form must reproduce.
 ``psi`` are the fast algebra written term by term in LaurentPoly arithmetic,
 merged with LaurentPoly addition: the formulas the bare-map accumulation of
 ``skein`` and ``oriented`` must reproduce.
+``term_order`` is the order both elements keep their terms in, written
+without the runtime's comparisons.
 ``evaluate_laurent`` substitutes a Laurent polynomial into an integer
 polynomial.  ``shifted`` multiplies a polynomial by a power of A and
 ``is_symmetric`` asks whether theta fixes an oriented element.  ``rebuilt`` makes an element afresh, without the Chebyshev form
@@ -36,6 +38,14 @@ BOUNDED = settings(max_examples=60, deadline=None, derandomize=True)
 
 # Short coefficients over few exponents, so sums cancel often; zero included.
 coeffs = st.dictionaries(st.integers(-2, 2), st.integers(-2, 2), max_size=3).map(LaurentPoly)
+
+
+def term_order(key) -> tuple:
+    """Sort key of a term's key: vectors in lexicographic order, then the
+    unit key (the empty class, or the oriented (0, 0)) last."""
+    if isinstance(key, UnorientedClass):
+        return (key == EMPTY, key.vec)
+    return (key == (0, 0), key)
 
 
 def shifted(poly: LaurentPoly, exp: int) -> LaurentPoly:

@@ -1,11 +1,14 @@
 """The bare-map accumulation of the fast algebra against the term-by-term
 LaurentPoly formulas in ``references``: products in both bases, both basis
 changes, oriented products and psi, on elements whose coefficients cancel.
-Also the one helper that finishes every vector-keyed output map, against
-``make``, and the two ways the accumulation avoids copies: a coefficient
+Also the one step that finishes every element, ``finish_terms``, against
+the reference term order, through ``make`` and on vector-keyed output maps,
+and the two ways the accumulation avoids copies: a coefficient
 that lands alone on its key passes through as the same object and is never
 written into, and a standard-basis element made by ``to_standard`` keeps its
 Chebyshev form."""
+
+import json
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,7 +18,7 @@ from references import BOUNDED, coeffs
 
 from toruskein.laurent import LaurentPoly, accumulate
 from toruskein.oriented import OrientedElement, psi
-from toruskein.skein import Basis, SkeinElement, from_vec_maps, vec_terms
+from toruskein.skein import Basis, SkeinElement, from_vec_maps, finish_terms
 from toruskein.torus_curves import EMPTY, UnorientedClass, canonicalize
 
 # Small classes, so u == v (a (0,0)_T hit) and coinciding outputs are common.
@@ -100,21 +103,22 @@ def _poly(value) -> LaurentPoly:
     return value if isinstance(value, LaurentPoly) else LaurentPoly(value)
 
 
-def assert_finished_like_make(finished, made) -> None:
-    assert finished.terms() == made.terms()  # the same keys in the same order
+def assert_finished_like_make(finished, made, coefficients: dict) -> None:
+    """Both elements hold the nonzero ``coefficients`` in the reference order."""
+    expected = sorted([(k, c) for k, c in coefficients.items() if c], key=lambda kc: ref.term_order(kc[0]))
+    assert finished.terms() == made.terms() == tuple(expected)
     assert_stored_nonzero(finished)
-    for key, coeff in made.terms():
+    for key, coeff in expected:
         assert finished.coefficient(key) == coeff  # bisect finds every key
 
 
 @BOUNDED
 @given(skein_vec_maps)
 def test_finishing_vector_maps_gives_what_make_gives(maps):
-    made = SkeinElement.make(
-        Basis.CHEBYSHEV, {(EMPTY if v is None else UnorientedClass(v)): _poly(c) for v, c in maps.items()}
-    )
+    coefficients = {(EMPTY if v is None else UnorientedClass(v)): _poly(c) for v, c in maps.items()}
+    made = SkeinElement.make(Basis.CHEBYSHEV, coefficients)
     finished = from_vec_maps(Basis.CHEBYSHEV, {v: dict(c) if type(c) is dict else c for v, c in maps.items()})
-    assert_finished_like_make(finished, made)
+    assert_finished_like_make(finished, made, coefficients)
     if None not in maps:
         assert finished.coefficient(EMPTY) == 0
 
@@ -122,11 +126,40 @@ def test_finishing_vector_maps_gives_what_make_gives(maps):
 @BOUNDED
 @given(oriented_vec_maps)
 def test_finishing_oriented_vector_maps_gives_what_make_gives(maps):
-    made = OrientedElement.make({v: _poly(c) for v, c in maps.items()})
-    terms = vec_terms({v: dict(c) if type(c) is dict else c for v, c in maps.items()}, (0, 0))
-    assert_finished_like_make(OrientedElement(tuple(terms)), made)
+    coefficients = {v: _poly(c) for v, c in maps.items()}
+    made = OrientedElement.make(coefficients)
+    terms = finish_terms({v: dict(c) if type(c) is dict else c for v, c in maps.items()}, (0, 0))
+    assert_finished_like_make(OrientedElement(tuple(terms)), made, coefficients)
     if (0, 0) not in maps:
         assert OrientedElement(tuple(terms)).coefficient((0, 0)) == 0
+
+
+# Repeated keys, int and zero coefficients, in any order: what ``make`` takes.
+int_coeffs = st.one_of(coeffs, st.integers(-2, 2))
+oriented_keys = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+def assert_made_in_the_reference_order(make, terms, shuffled) -> None:
+    x = make(terms)
+    merged = ref._merged((k, c if isinstance(c, LaurentPoly) else LaurentPoly({0: c})) for k, c in terms)
+    assert x.terms() == tuple(sorted(merged.items(), key=lambda kc: ref.term_order(kc[0])))
+    assert_stored_nonzero(x)
+    y = make(shuffled)
+    assert (str(y), json.dumps(y.to_json())) == (str(x), json.dumps(x.to_json()))
+
+
+@BOUNDED
+@given(st.lists(st.tuples(classes, int_coeffs), max_size=8), st.randoms(use_true_random=False))
+def test_make_keeps_skein_terms_in_the_reference_order(terms, rnd):
+    shuffled = rnd.sample(terms, len(terms))
+    for basis in Basis:
+        assert_made_in_the_reference_order(lambda ts: SkeinElement.make(basis, ts), terms, shuffled)
+
+
+@BOUNDED
+@given(st.lists(st.tuples(oriented_keys, int_coeffs), max_size=8), st.randoms(use_true_random=False))
+def test_make_keeps_oriented_terms_in_the_reference_order(terms, rnd):
+    assert_made_in_the_reference_order(OrientedElement.make, terms, rnd.sample(terms, len(terms)))
 
 
 def cheb(terms: dict) -> SkeinElement:

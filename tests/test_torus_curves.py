@@ -12,6 +12,7 @@ from toruskein.torus_curves import (
     parse_vec,
     split_signed,
 )
+from toruskein.verify import canonical_classes
 
 ints = st.integers(-50, 50)
 
@@ -98,6 +99,11 @@ class TestClassValidation:
     def test_multiplicity(self):
         assert UnorientedClass((4, 6)).multiplicity == 2
         assert EMPTY.multiplicity == 0
+
+    def test_classes_order_by_vector(self):
+        classes = canonical_classes(3)
+        shuffled = random.Random(0).sample(classes, len(classes))
+        assert sorted(shuffled) == sorted(classes, key=lambda c: c.vec)
 
 
 class TestTextAndJson:
