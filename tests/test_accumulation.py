@@ -18,7 +18,7 @@ from references import BOUNDED, coeffs
 
 from toruskein.laurent import LaurentPoly, accumulate
 from toruskein.oriented import OrientedElement, psi
-from toruskein.skein import Basis, SkeinElement, from_vec_maps, finish_terms
+from toruskein.skein import Basis, SkeinElement, finish_terms, from_vec_maps
 from toruskein.torus_curves import EMPTY, UnorientedClass, canonicalize
 
 # Small classes, so u == v (a (0,0)_T hit) and coinciding outputs are common.
