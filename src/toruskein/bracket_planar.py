@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, quoted
 from .smoothing_oracle import BudgetExceededError, DEFAULT_BUDGET, contract
 
 Crossing = tuple[int, int, int, int]
@@ -91,7 +91,10 @@ class PDCode:
             if m.group(1) == "O":
                 loops += 1
             else:
-                crossings.append(tuple(int(m.group(i)) for i in range(2, 6)))
+                try:
+                    crossings.append(tuple(int(m.group(i)) for i in range(2, 6)))
+                except ValueError:  # more digits than int() converts
+                    raise ValueError(f"a PD label has too many digits: {quoted(text)}") from None
             pos = m.end()
         return cls(tuple(crossings), loops)
 

@@ -19,6 +19,7 @@ failure.  ``--json`` switches output to the documented JSON forms.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import io
 import json
@@ -121,6 +122,10 @@ def _load_json(text: str):
         return json.loads(text)
     except RecursionError:  # json.loads recurses once per nesting level
         raise _UsageError("JSON input is nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # a number with more digits than int() converts
+        raise _UsageError(f"a JSON number has too many digits: {quoted(text)}") from None
 
 
 def _skein_argument(text: str, basis: Basis) -> SkeinElement:
@@ -201,15 +206,7 @@ def run(argv: Sequence[str] | None = None) -> int:
                 budget=args.budget,
             )
             if args.json:
-                print(
-                    json.dumps(
-                        [
-                            {"name": r.name, "cases": r.cases, "failures": r.failures}
-                            for r in results
-                        ],
-                        sort_keys=True,
-                    )
-                )
+                print(json.dumps([dataclasses.asdict(r) for r in results], sort_keys=True))
             else:
                 for r in results:
                     print(r.summary())

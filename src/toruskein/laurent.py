@@ -5,9 +5,11 @@ monomials -- lives in this ring.  Values are immutable and hashable, the zero
 polynomial is the empty term map, and no zero coefficient is ever stored, so
 equality is plain term-map equality.
 
-Text form: a sum of terms ``[sign] [coeff] ["A" ["^" exponent]]``, whitespace
-insensitive, printed in ascending exponent order (``"-A^-2 - A^2"`` is the
-circle value delta).  JSON form: an object mapping exponent strings (ASCII
+Text form: terms ``[sign] [coeff] ["A" ["^" [sign] exponent]]``, one ``_TERM``
+each, numbers in ASCII digits.  Every term but the first has a sign, each has a
+coefficient or an ``A``, and whitespace may sit between any two parts but not
+inside a number.  Terms print in ascending exponent order (``"-A^-2 - A^2"`` is
+the circle value delta).  JSON form: an object mapping exponent strings (ASCII
 ``-?[0-9]+``) to integer coefficients, e.g. ``{"-2": -1, "2": -1}``.
 
 Polynomial ``+`` and ``*``, the fast algebra and the state sums accumulate
@@ -21,8 +23,11 @@ when a second one lands on its key.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cache
+
+_TERM = re.compile(r"\s*([+-]?)\s*([0-9]*)\s*(?:(A)\s*(?:\^\s*([+-]?)\s*([0-9]*))?)?\s*")
 
 
 class ParseError(ValueError):
@@ -153,56 +158,21 @@ class LaurentPoly:
     @classmethod
     def parse(cls, text: str) -> "LaurentPoly":
         """Parse the text grammar; raises ParseError with a position on bad input."""
-        terms: list[tuple[int, int]] = []
-        i, n = 0, len(text)
-
-        def skip_ws(i: int) -> int:
-            while i < n and text[i].isspace():
-                i += 1
-            return i
-
-        def read_int(i: int, what: str) -> tuple[int, int]:
-            sign = 1
-            if i < n and text[i] in "+-":
-                sign = -1 if text[i] == "-" else 1
-                i = skip_ws(i + 1)
-            start = i
-            while i < n and "0" <= text[i] <= "9":
-                i += 1
-            if i == start:
-                raise ParseError(f"expected {what}", start)
-            return sign * int(text[start:i]), i
-
-        i = skip_ws(i)
-        if i == n:
-            raise ParseError("empty polynomial text", i)
-        first = True
-        while i < n:
-            sign = 1
-            if text[i] in "+-":
-                sign = -1 if text[i] == "-" else 1
-                i = skip_ws(i + 1)
-            elif not first:
+        if not text.strip():
+            raise ParseError("empty polynomial text", len(text))
+        terms, i = [], 0
+        while i < len(text):
+            m = _TERM.match(text, i)
+            sign, digits, a, exp_sign, exp = m.groups()
+            if terms and not sign:
                 raise ParseError("expected '+' or '-' between terms", i)
-            coeff = None
-            start = i
-            while i < n and "0" <= text[i] <= "9":
-                i += 1
-            if i > start:
-                coeff = int(text[start:i])
-            i = skip_ws(i)
-            exp = 0
-            if i < n and text[i] == "A":
-                i = skip_ws(i + 1)
-                exp = 1
-                if i < n and text[i] == "^":
-                    i = skip_ws(i + 1)
-                    exp, i = read_int(i, "exponent after '^'")
-            elif coeff is None:
-                raise ParseError("expected coefficient or 'A'", i)
-            terms.append((exp, sign * (1 if coeff is None else coeff)))
-            i = skip_ws(i)
-            first = False
+            if not (digits or a):
+                raise ParseError("expected coefficient or 'A'", m.end())
+            coeff = _signed(m, sign, 2) if digits else int(sign + "1")
+            if exp == "":
+                raise ParseError("expected exponent after '^'", m.start(5))
+            terms.append((_signed(m, exp_sign, 5) if exp else 1 if a else 0, coeff))
+            i = m.end()
         return cls(terms)
 
     def to_json(self) -> dict[str, int]:
@@ -220,11 +190,21 @@ class LaurentPoly:
         return cls((int(e), c) for e, c in data.items())  # "1" and "01" add up
 
 
+def _signed(m: re.Match, sign: str, group: int) -> int:
+    try:  # the digits of group ``group`` of a _TERM match, ``sign`` in front
+        return int(sign + m[group])
+    except ValueError:  # more digits than int() converts
+        raise ParseError("number has too many digits", m.start(group)) from None
+
+
 def _exponent(key: str) -> int:
     # int() alone would also take " -2 ", "3_0" and "٣".
-    if key.isascii() and key.removeprefix("-").isdigit():
+    if not (key.isascii() and key.removeprefix("-").isdigit()):
+        raise ValueError(f"expected an integer exponent key, got {quoted(key)}")
+    try:
         return int(key)
-    raise ValueError(f"expected an integer exponent key, got {quoted(key)}")
+    except ValueError:  # more digits than int() converts
+        raise ValueError(f"exponent key has too many digits: {quoted(key)}") from None
 
 
 def json_int(value: object) -> int:

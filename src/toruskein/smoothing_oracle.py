@@ -243,15 +243,15 @@ def _walks(pairings: tuple) -> tuple[tuple, bool]:
     return tuple(map(tuple, steps)), steps[1][U_IN][0] == V_OUT
 
 
-def _components(arr: Arrangement, mask: int) -> list[tuple[int, int, int, int]]:
+def _components(arr: Arrangement, mask: int) -> list[tuple[int, int, int]]:
     """Walk one resolved state; bit i of ``mask`` B-resolves crossing i.
 
-    Returns (homology_x, homology_y, winding, arc_count) per component,
-    homology in unscaled integer units.  Each walk starts at an over-strand
-    out-port (every component alternates families, so it has one); under the
-    orientation-compatible resolution it then runs every arc along its
-    strand.  The unoriented ``_classify`` is blind to which way a walk runs.
-    At each port it takes the ``_walks`` step of its crossing's resolution.
+    Returns (homology_x, homology_y, winding) per component, as ``_whole``
+    gives them.  Each walk starts at an over-strand out-port (every component
+    alternates families, so it has one); under the orientation-compatible
+    resolution it then runs every arc along its strand.  The unoriented
+    ``_classify`` is blind to which way a walk runs.  At each port it takes
+    the ``_walks`` step of its crossing's resolution.
     """
     arc_other, disp, denom = arr.arc_other, arr.disp, arr.denom
     steps = _walks(_CORNERS[arr.d0 > 0])[0]
@@ -262,13 +262,12 @@ def _components(arr: Arrangement, mask: int) -> list[tuple[int, int, int, int]]:
         if seen[start]:
             continue
         p = start
-        hx = hy = turns = arcs = 0
+        hx = hy = turns = 0
         while True:
             seen[p] = True
             dx, dy = disp[p]
             hx += dx
             hy += dy
-            arcs += 1
             q = arc_other[p]
             seen[q] = True
             rt, t = steps[(mask >> (q >> 2)) & 1][q & 3]
@@ -276,7 +275,7 @@ def _components(arr: Arrangement, mask: int) -> list[tuple[int, int, int, int]]:
             p = (q & ~3) | rt
             if p == start:
                 break
-        out.append((*_whole(hx, hy, turns, denom), arcs))
+        out.append(_whole(hx, hy, turns, denom))
     return out
 
 
@@ -291,13 +290,13 @@ def _whole(hx: int, hy: int, turns: int, denom: int) -> tuple[int, int, int]:
 
 
 def _classify(
-    components: Iterable[tuple[int, ...]],
+    components: Iterable[tuple[int, int, int]],
     direction: Vec2 | None = None,
     oriented: bool = False,
 ) -> tuple[int, int, Vec2 | None]:
     """Check closed components and summarize them.
 
-    ``components`` start with (hx, hy, winding), as ``_whole`` returns them.
+    ``components`` are (hx, hy, winding) triples, as ``_whole`` returns them.
     Returns (trivial circles, essential count, common primitive direction),
     the direction taken up to sign unless ``oriented``; ``direction`` is the
     one the state's earlier components already fixed.  Raises
@@ -307,8 +306,7 @@ def _classify(
     in two directions.
     """
     circles = count = 0
-    for component in components:
-        hx, hy, winding = component[0], component[1], component[2]
+    for hx, hy, winding in components:
         if hx == 0 and hy == 0:
             if oriented:
                 raise ArrangementError("trivial circle in an oriented smoothing")

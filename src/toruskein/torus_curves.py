@@ -123,4 +123,7 @@ def parse_vec(text: str) -> Vec2:
     m = _VEC_RE.match(text.strip())
     if not m:
         raise ValueError(f"expected a pair like (a,b), got {quoted(text)}")
-    return (int(m.group(1)), int(m.group(2)))
+    try:
+        return (int(m.group(1)), int(m.group(2)))
+    except ValueError:  # more digits than int() converts
+        raise ValueError(f"a coordinate has too many digits: {quoted(text)}") from None

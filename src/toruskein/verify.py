@@ -13,7 +13,7 @@ from math import gcd
 from . import smoothing_oracle as oracle
 from .oriented import gamma_mul, psi
 from .skein import Basis, SkeinElement
-from .torus_curves import UnorientedClass, det2
+from .torus_curves import UnorientedClass, det2, is_half_plane
 
 
 @dataclass
@@ -38,15 +38,12 @@ class SweepResult:
 
 def canonical_classes(max_coord: int, max_mult: int | None = None) -> list[UnorientedClass]:
     """All non-empty canonical classes with |a|, |b| <= max_coord."""
-    out = []
-    for a in range(0, max_coord + 1):
-        for b in range(-max_coord, max_coord + 1):
-            if (a, b) == (0, 0) or (a == 0 and b < 0):
-                continue
-            if max_mult is not None and gcd(a, b) > max_mult:
-                continue
-            out.append(UnorientedClass((a, b)))
-    return out
+    return [
+        UnorientedClass((a, b))
+        for a in range(max_coord + 1)
+        for b in range(-max_coord, max_coord + 1)
+        if is_half_plane((a, b)) and (max_mult is None or gcd(a, b) <= max_mult)
+    ]
 
 
 def _pairs(classes: list[UnorientedClass], max_det: int) -> list[tuple[UnorientedClass, UnorientedClass]]:

@@ -15,14 +15,17 @@ that ``to_standard`` keeps on its result, so that a round trip through it runs
 ``to_chebyshev``'s expansion.  ``roundtrip_sweep`` draws random elements and
 checks that the basis changes and psi/psi_inverse are exact mutual inverses.
 ``BOUNDED`` and ``coeffs`` are the Hypothesis settings and coefficient
-strategy the property tests share.
+strategy the property tests share.  ``TOO_LONG`` is a number with more digits
+than ``int()`` converts, for the tests marked ``needs_digit_limit``.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from math import comb, gcd
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
@@ -35,6 +38,11 @@ from toruskein.torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize, d
 from toruskein.verify import SweepResult
 
 BOUNDED = settings(max_examples=60, deadline=None, derandomize=True)
+
+# From Python 3.11 on, int() refuses a number of more than this many digits (0: no limit).
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+TOO_LONG = "9" * (_DIGIT_LIMIT + 100)
+needs_digit_limit = pytest.mark.skipif(not _DIGIT_LIMIT, reason="int() converts any number of digits")
 
 # Short coefficients over few exponents, so sums cancel often; zero included.
 coeffs = st.dictionaries(st.integers(-2, 2), st.integers(-2, 2), max_size=3).map(LaurentPoly)

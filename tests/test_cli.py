@@ -7,6 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
+from references import TOO_LONG, needs_digit_limit
 
 import toruskein
 from toruskein import chebyshev, smoothing_oracle, verify
@@ -402,6 +403,25 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert err.startswith("error: argument --max-det: expected an integer, got '999")
         assert err.endswith("... (5002 characters)\n")
+
+    @needs_digit_limit
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["mul", f"({TOO_LONG},1)", "(1,0)"], "a coordinate has too many digits: '("),
+            (["bracket", "--pd", f"X({TOO_LONG},3,2,4) X(3,1,4,2)"], "a PD label has too many digits: 'X("),
+            (["psi", '{"basis":"standard","terms":[{"class":[%s,0],"coeff":{"0":1}}]}' % TOO_LONG],
+             "a JSON number has too many digits: '{"),
+            (["psi", '{"basis":"standard","terms":[{"class":[1,0],"coeff":{"%s":1}}]}' % TOO_LONG],
+             "terms[0].coeff: exponent key has too many digits: '999"),
+        ],
+        ids=["class", "pd-label", "json-number", "json-exponent-key"],
+    )
+    def test_number_longer_than_int_converts_is_refused_by_name(self, capsys, argv, message):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and err.endswith(" characters)\n")
+        assert "Traceback" not in err and "set_int_max_str_digits" not in err
 
     @pytest.mark.parametrize(
         "verb, text, where",

@@ -1,11 +1,12 @@
 import random
+import re
 import types
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import BOUNDED, coeffs, shifted
+from references import BOUNDED, TOO_LONG, coeffs, needs_digit_limit, shifted
 
 from toruskein.laurent import A, DELTA, ONE, ZERO, LaurentPoly, ParseError, circle_step
 
@@ -62,6 +63,40 @@ class TestDelta:
         assert DELTA * mono(-1, 0) == LaurentPoly({2: 1, -2: 1})
 
 
+# (text, message, position): every ParseError the grammar raises.
+PARSE_ERRORS = [
+    ("A^", "expected exponent after '^'", 2),
+    ("", "empty polynomial text", 0),
+    ("3A 4", "expected '+' or '-' between terms", 3),
+    ("^2", "expected coefficient or 'A'", 0),
+    ("A^-", "expected exponent after '^'", 3),
+    ("x", "expected coefficient or 'A'", 0),
+    ("\u0663A", "expected coefficient or 'A'", 0),
+    ("A^\u0663", "expected exponent after '^'", 2),
+    (" \t\u3000", "empty polynomial text", 3),
+    ("+ ", "expected coefficient or 'A'", 2),
+    ("A - ^2", "expected coefficient or 'A'", 4),
+    ("A^ - x", "expected exponent after '^'", 5),
+    ("A^+-3", "expected exponent after '^'", 3),
+    ("1 2", "expected '+' or '-' between terms", 2),
+    ("A A", "expected '+' or '-' between terms", 2),
+    ("A^2A", "expected '+' or '-' between terms", 3),
+    ("-2A^1 0", "expected '+' or '-' between terms", 6),
+    (" A^2 3", "expected '+' or '-' between terms", 5),
+]
+# A number with more digits than int() converts, at the number's position.
+TOO_LONG_ERRORS = [
+    pytest.param(text, "number has too many digits", position, id=name, marks=needs_digit_limit)
+    for name, text, position in [
+        ("long-coefficient", TOO_LONG + "A", 0),
+        ("long-exponent", "A^- " + TOO_LONG, 4),
+        ("long-second-term", "1 + " + TOO_LONG, 4),
+        ("long-before-a-missing-exponent", TOO_LONG + "A^", 0),
+    ]
+]
+WHITESPACE = st.text(st.sampled_from(list(" \t\n\u00a0\u3000")), max_size=2)
+
+
 class TestFormatParse:
     def test_format_ascending(self):
         poly = LaurentPoly({6: 1, 2: 1, -2: 1, -6: 1})
@@ -79,11 +114,31 @@ class TestFormatParse:
     def test_parse_merges_like_terms(self):
         assert LaurentPoly.parse("A + A - 2A") == ZERO
 
-    @pytest.mark.parametrize("bad", ["A^", "", "3A 4", "^2", "A^-", "x", "\u0663A", "A^\u0663"])
-    def test_parse_errors_carry_position(self, bad):
+    @pytest.mark.parametrize(
+        "bad, message, position", [pytest.param(*case, id=case[0]) for case in PARSE_ERRORS] + TOO_LONG_ERRORS
+    )
+    def test_parse_errors_carry_position(self, bad, message, position):
         with pytest.raises(ParseError) as info:
             LaurentPoly.parse(bad)
-        assert info.value.position >= 0
+        assert (str(info.value), info.value.position) == (f"{message} (at position {position})", position)
+
+    @BOUNDED
+    @given(st.dictionaries(st.integers(-9, 9), st.integers(-99, 99), max_size=6), st.data())
+    def test_parse_reads_str_with_whitespace_between_tokens(self, terms, data):
+        poly = LaurentPoly(terms)
+        tokens = re.findall(r"[0-9]+|\S", str(poly))  # a number is one token
+        text = "".join(data.draw(WHITESPACE) + token for token in tokens) + data.draw(WHITESPACE)
+        assert LaurentPoly.parse(text) == poly
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.text(st.sampled_from(list("0123456789+-A^ \t\u00a0\u3000\u0663x")), max_size=12))
+    def test_parse_returns_a_value_or_raises_parse_error(self, text):
+        try:
+            poly = LaurentPoly.parse(text)
+        except ParseError as exc:
+            assert 0 <= exc.position <= len(text)
+        else:
+            assert LaurentPoly.parse(str(poly)) == poly
 
     def test_zero_formats_as_zero(self):
         assert str(ZERO) == "0"

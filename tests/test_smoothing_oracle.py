@@ -161,7 +161,7 @@ class TestBuildArrangement:
 
 
 def _traced(arr, mask):
-    """The (hx, hy, winding, arc_count) components of one state, after the
+    """The (hx, hy, winding) components of one state, after the
     checks every walk passes."""
     comps = smoothing_oracle._components(arr, mask)
     smoothing_oracle._classify(comps)
@@ -175,9 +175,9 @@ class TestTrace:
         for mask in (0, 1):
             comps = _traced(arr, mask)
             assert len(comps) == 1
-            hx, hy, winding, arc_count = comps[0]
+            hx, hy, winding = comps[0]
             assert winding == 0
-            assert arc_count == 2
+            assert [len(arcs) for arcs in _component_arcs(arr, mask)] == [2]
             homologies.append((hx, hy))
         # the two smoothings produce the (1,1) and (1,-1) classes
         assert {(abs(hx), abs(hy)) for hx, hy in homologies} == {(1, 1)}
@@ -188,25 +188,25 @@ class TestTrace:
             arr = build_arrangement(u, v)
             windings = []
             for mask in range(4):
-                for hx, hy, winding, _ in _traced(arr, mask):
+                for hx, hy, winding in _traced(arr, mask):
                     if (hx, hy) == (0, 0):
                         windings.append(winding)
             assert sorted(windings) == [-1, 1], (u, v)
 
 
 class TestClassify:
-    """Component invariants on synthetic (hx, hy, winding, arcs) tuples."""
+    """Component invariants on synthetic (hx, hy, winding) triples."""
 
     @pytest.mark.parametrize(
         "components, oriented, message",
         [
-            ([(0, 0, 0, 4)], False, "trivial circle with winding 0"),
-            ([(0, 0, 2, 4)], False, "trivial circle with winding 2"),
-            ([(1, 0, 1, 2)], False, "essential component with winding 1"),
-            ([(2, 0, 0, 2)], False, "not primitive"),
-            ([(1, 0, 0, 2), (0, 1, 0, 2)], False, "mixed primitive directions"),
-            ([(0, 0, 1, 4)], True, "trivial circle in an oriented smoothing"),
-            ([(1, 2, 0, 2), (-1, -2, 0, 2)], True, "mixed primitive directions"),
+            ([(0, 0, 0)], False, "trivial circle with winding 0"),
+            ([(0, 0, 2)], False, "trivial circle with winding 2"),
+            ([(1, 0, 1)], False, "essential component with winding 1"),
+            ([(2, 0, 0)], False, "not primitive"),
+            ([(1, 0, 0), (0, 1, 0)], False, "mixed primitive directions"),
+            ([(0, 0, 1)], True, "trivial circle in an oriented smoothing"),
+            ([(1, 2, 0), (-1, -2, 0)], True, "mixed primitive directions"),
         ],
     )
     def test_broken_invariant_raises(self, components, oriented, message):
@@ -214,11 +214,11 @@ class TestClassify:
             smoothing_oracle._classify(components, oriented=oriented)
 
     def test_directions_agree_up_to_sign_when_unoriented(self):
-        components = [(1, 2, 0, 2), (-1, -2, 0, 2), (0, 0, 1, 4), (0, 0, -1, 4)]
+        components = [(1, 2, 0), (-1, -2, 0), (0, 0, 1), (0, 0, -1)]
         assert smoothing_oracle._classify(components) == (2, 2, (1, 2))
 
     def test_oriented_direction_keeps_its_sign(self):
-        components = [(-1, -2, 0, 2), (-1, -2, 0, 2)]
+        components = [(-1, -2, 0), (-1, -2, 0)]
         assert smoothing_oracle._classify(components, oriented=True) == (0, 2, (-1, -2))
 
 
