@@ -14,10 +14,9 @@ from operator import sub
 
 IntPoly = tuple[int, ...]  # coefficients, index = power of the indeterminate
 
-# Largest degree the conversions (and psi, whose multiplicity-n term is the
-# same binomial expansion) accept.  T_0..T_n cost O(n^2) bigint work and stay
-# in the cache (about 25 MiB at this limit), so larger degrees are refused
-# before any work starts.
+# Largest degree the conversions (and so psi and products) accept.  T_0..T_n
+# cost O(n^2) bigint work and stay in the cache (about 25 MiB at this limit),
+# so larger degrees are refused before any work starts.
 MAX_DEGREE = 1024
 
 

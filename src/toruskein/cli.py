@@ -31,7 +31,7 @@ from . import verify as verify_mod
 from .bracket_planar import PDCode, kauffman_bracket
 from .laurent import quoted
 from .oriented import OrientedElement, gamma_mul, psi, psi_inverse
-from .skein import Basis, SkeinElement, chebyshev_of
+from .skein import Basis, SkeinElement, chebyshev_generator
 from .smoothing_oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -135,7 +135,15 @@ def _skein_argument(text: str, basis: Basis) -> SkeinElement:
         if element.basis != basis:
             raise _UsageError(f"expected a {basis.value}-basis element, got {element.basis.value}")
         return element
-    return SkeinElement.generator(UnorientedClass.parse(text), basis)
+    return _generator(text, basis)
+
+
+def _generator(text: str, basis: Basis) -> SkeinElement:
+    """A generator argument, "(a,b)" or "empty" (1 in either basis).  In the
+    Chebyshev basis "(0,0)" is T_0 = 2 * empty, as in the product-to-sum formula."""
+    if basis == Basis.STANDARD or text.strip().lower() == "empty":
+        return SkeinElement.generator(UnorientedClass.parse(text), basis)
+    return chebyshev_generator(parse_vec(text))
 
 
 def _oriented_argument(text: str) -> OrientedElement:
@@ -159,9 +167,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
         if command == "mul":
             basis = Basis(args.basis)
-            x = SkeinElement.generator(UnorientedClass.parse(args.x), basis)
-            y = SkeinElement.generator(UnorientedClass.parse(args.y), basis)
-            _emit(x * y, args.json)
+            _emit(_generator(args.x, basis) * _generator(args.y, basis), args.json)
         elif command == "oracle-mul":
             x = UnorientedClass.parse(args.x)
             y = UnorientedClass.parse(args.y)
@@ -184,7 +190,7 @@ def run(argv: Sequence[str] | None = None) -> int:
                     return 2
             _emit(fast, args.json)
         elif command == "cheb":
-            _emit(chebyshev_of(parse_vec(args.vec)), args.json)
+            _emit(_generator(args.vec, Basis.CHEBYSHEV).to_standard(), args.json)
         elif command == "convert":
             target = Basis(args.target)
             source = Basis.STANDARD if target == Basis.CHEBYSHEV else Basis.CHEBYSHEV

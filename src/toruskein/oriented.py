@@ -16,11 +16,9 @@ orientations and lands in the theta-fixed subalgebra.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 from typing import Iterable, Mapping
 
-from .chebyshev import check_degree
-from .laurent import ONE, LaurentPoly, accumulate, add_product
+from .laurent import ONE, LaurentPoly, add_product
 from .skein import Basis, BasisMismatchError, SkeinElement, TermMap, finish_terms, format_terms
 from .torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize, det2, vec_from_json
 
@@ -97,40 +95,31 @@ def gamma_mul(u: Vec2, v: Vec2) -> OrientedElement:
 def psi(x: SkeinElement) -> OrientedElement:
     """Sum-of-all-orientations map on standard-basis elements.
 
-    On the class of n parallel (p, q) curves the 2^n orientation choices
-    reduce (opposite parallel pairs cancel at unit coefficient) to
-    sum_k C(n, k) gamma_((2k-n)(p,q)); the empty class maps to the unit.
-    The closed form is cross-checked against direct enumeration in the tests.
+    The n parallel (p, q) curves are X^n at the primitive class, and
+    T_n(gamma + gamma^-1) = gamma^n + gamma^-n, so psi is ``psi_chebyshev``
+    after ``to_chebyshev``; a product's kept Chebyshev form is read as it is.
+    The tests cross-check it against the enumeration of all 2^n orientations.
     """
     if x.basis != Basis.STANDARD:
         raise BasisMismatchError("psi expects a standard-basis element")
-    for key in x.support():
-        check_degree(key.multiplicity, "multiplicity")
-    maps: dict = {}
-    for key, coeff in x.terms():
-        if key.is_empty:
-            accumulate(maps, (0, 0), coeff)
-            continue
-        n, (p, q) = key.split()
-        for k in range(n + 1):
-            s = 2 * k - n
-            accumulate(maps, (s * p, s * q), coeff, comb(n, k))
-    return OrientedElement(tuple(finish_terms(maps, (0, 0))))
+    return psi_chebyshev(x.to_chebyshev())
 
 
 def psi_chebyshev(x: SkeinElement) -> OrientedElement:
-    """psi on the Chebyshev basis: the generator at v maps to gamma_v + gamma_-v."""
+    """psi on the Chebyshev basis: the generator at v maps to gamma_v + gamma_-v.
+
+    Distinct canonical classes give distinct keys, so nothing is merged.
+    """
     if x.basis != Basis.CHEBYSHEV:
         raise BasisMismatchError("psi_chebyshev expects a Chebyshev-basis element")
-    out: list[tuple[Vec2, LaurentPoly]] = []
+    maps: dict = {}
     for key, coeff in x.terms():
         if key.is_empty:
-            out.append(((0, 0), coeff))
+            maps[(0, 0)] = coeff
         else:
             v = key.vec
-            out.append((v, coeff))
-            out.append(((-v[0], -v[1]), coeff))
-    return OrientedElement.make(out)
+            maps[v] = maps[(-v[0], -v[1])] = coeff
+    return OrientedElement(tuple(finish_terms(maps, (0, 0))))
 
 
 def psi_inverse(x: OrientedElement) -> SkeinElement:

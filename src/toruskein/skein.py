@@ -14,17 +14,17 @@ Frohman and Gelca,
 with det = a*d - b*c.  Output indices are canonicalized into the half-plane
 (both orientations of a multicurve give the same unoriented class) and the
 degenerate index (0, 0)_T stands for 2 * empty.  Standard-basis products are
-computed by converting to the Chebyshev basis and back; the way back checks
-every degree it needs against chebyshev.MAX_DEGREE before any T_n is built.
+computed by converting to the Chebyshev basis and back; each way checks
+every degree it needs against chebyshev.MAX_DEGREE before it expands a class.
 
 Products, like oriented products, add every term pair into one bare
 {exponent: coeff} map per output key with laurent.add_product and wrap each
-map in a LaurentPoly once, at the end.  Basis changes, like psi, add whole
+map in a LaurentPoly once, at the end.  Basis changes add whole
 coefficients with laurent.accumulate: a coefficient that lands alone on its
 key, unscaled, is passed through as the same object, which is every
 primitive class's.  A standard-basis element made by ``to_standard`` keeps
 the Chebyshev element it was expanded from, and ``to_chebyshev`` returns it,
-so a chain of standard products converts each operand once.
+so a chain of standard products, and psi of one, converts each operand once.
 """
 
 from __future__ import annotations
@@ -213,6 +213,8 @@ class SkeinElement(TermMap):
             raise BasisMismatchError("to_chebyshev expects a standard-basis element")
         if self._chebyshev is not None:
             return self._chebyshev
+        for key, _ in self._terms:
+            chebyshev.check_degree(key.multiplicity, "multiplicity")
         return self._expand(Basis.CHEBYSHEV, lambda n: chebyshev.power_to_chebyshev(n).items())
 
     def to_standard(self) -> "SkeinElement":
@@ -260,15 +262,15 @@ class SkeinElement(TermMap):
         return cls.make(_json_field(data, "basis", "", Basis), cls._json_terms(data))
 
 
-def chebyshev_of(vec: Vec2) -> SkeinElement:
-    """Standard-basis expansion of the Chebyshev generator indexed by ``vec``.
-
-    (0, 0) is allowed and expands to T_0 at the degenerate class, i.e. 2 * empty.
-    """
-    if vec == (0, 0):
-        return SkeinElement.unit(Basis.STANDARD).scaled(2)
+def chebyshev_generator(vec: Vec2) -> SkeinElement:
+    """The Chebyshev generator indexed by ``vec``; at (0, 0) it is T_0 = 2 * empty."""
     key = canonicalize(vec)[0]
-    return SkeinElement.generator(key, Basis.CHEBYSHEV).to_standard()
+    return SkeinElement(Basis.CHEBYSHEV, ((key, LaurentPoly.monomial(2 if vec == (0, 0) else 1, 0)),))
+
+
+def chebyshev_of(vec: Vec2) -> SkeinElement:
+    """Standard-basis expansion of the Chebyshev generator indexed by ``vec``."""
+    return chebyshev_generator(vec).to_standard()
 
 
 def _mul_chebyshev(x: SkeinElement, y: SkeinElement) -> SkeinElement:

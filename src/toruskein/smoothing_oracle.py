@@ -54,8 +54,9 @@ Resolution conventions (all signs downstream hang off one table):
 
 A counterclockwise trivial circle counts winding +1.  The oriented smoothing
 of two transverse families closes no circle (``_classify`` raises on one), so
-the product's A-exponent is the resolution's shift times k, and
-``oriented_product_with_ledger`` returns that traced Gauss sum with it.
+the product's A-exponent is the resolution's shift in ``_CORNERS`` times k, and
+``oriented_product_with_ledger`` returns that exponent with it.  The exponent
+is read, not traced: the walk traces only the homology, checked against u + v.
 Crossing-free products are not traced, in either oracle: the merge of
 parallel copies and the cancellation of antiparallel ones (circles of winding
 +1 and -1, coefficients -A^2 and -A^-2, product 1) are asserted.
@@ -68,15 +69,15 @@ from functools import cache
 from operator import itemgetter
 from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
-from .laurent import LaurentPoly, circle_step
+from .laurent import DELTA, LaurentPoly, circle_step
 from .oriented import OrientedElement
 from .skein import Basis, SkeinElement, from_vec_maps
 from .torus_curves import EMPTY, UnorientedClass, Vec2, det2, split_signed
 
 DEFAULT_BUDGET = 24
 DUMP_LIMIT = 16  # most crossings a dump lists the 2^k states of
-# delta^n = (-A^2 - A^-2)^n for the at most two circles a crossing closes.
-_DELTA_POWERS = (((0, 1),), ((2, -1), (-2, -1)), ((4, 1), (0, 2), (-4, 1)))
+# delta^n as (exponent, coefficient) pairs, for the at most two circles a crossing closes.
+_DELTA_POWERS = tuple((DELTA**n).terms() for n in range(3))
 
 # Port roles within a crossing: over-strand in/out, under-strand in/out.
 U_IN, U_OUT, V_IN, V_OUT = 0, 1, 2, 3
@@ -582,9 +583,9 @@ def unoriented_product(
 def oriented_product_with_ledger(
     u: Vec2, v: Vec2, budget: int = DEFAULT_BUDGET
 ) -> tuple[OrientedElement, int]:
-    """Oriented superposition product of gamma_u over gamma_v, with the Gauss
-    sum it traced: the orientation-compatible resolution's A-exponent shift
-    times the k crossings, 0 when there are none."""
+    """Oriented superposition product of gamma_u over gamma_v, with its
+    A-exponent, read (not traced) as the orientation-compatible resolution's
+    shift in ``_CORNERS`` times the k crossings, 0 when there are none."""
     if det2(u, v) == 0:
         # No crossings: an empty, parallel or antiparallel pair.  Antiparallel
         # copies cancel in pairs, each deleting circles of winding +1 and -1

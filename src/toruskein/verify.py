@@ -68,10 +68,11 @@ def oriented_monomial_sweep(
 ) -> tuple[SweepResult, int]:
     """Monomial rule vs the oriented oracle, over every ordered vector pair.
 
-    Also returns the sum of the Gauss sums the oracle traced, its A-exponents,
-    over the sweep.  The sweep holds each pair both ways round and the
-    exponent of a correct oracle is -det2(u, v), so the sum is 0.  An error
-    antisymmetric in (u, v) still sums to 0, so it would pass that check.
+    Also returns the sum over the sweep of the oracle's A-exponents, each read
+    from ``_CORNERS`` as the resolution's shift times k, not traced.  A correct
+    oracle's is -det2(u, v) and the sweep holds each pair both ways round, so
+    the sum is 0; it is 0 too for a ``_CORNERS`` whose two entries mirror each
+    other, or for any error antisymmetric in (u, v).
     """
     result = SweepResult("oriented monomial rule vs oriented oracle")
     total_exponent = 0

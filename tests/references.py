@@ -1,7 +1,7 @@
 """Test-only references: enumerations and random elements the runtime never needs.
 
 ``psi_oracle`` enumerates all 2^n orientations of a class, the definition
-that ``oriented.psi``'s binomial closed form must reproduce.
+that ``oriented.psi`` must reproduce.
 ``mul_chebyshev``, ``to_chebyshev``, ``to_standard``, ``oriented_mul`` and
 ``psi`` are the fast algebra written term by term in LaurentPoly arithmetic,
 merged with LaurentPoly addition: the formulas the bare-map accumulation of

@@ -282,10 +282,14 @@ def test_the_kept_form_is_invisible():
     assert {s: 1}[plain] == 1
 
 
-def test_psi_reads_only_the_terms():
-    x = std({(1, 0): "A", (2, 0): "-1"})
-    object.__setattr__(x, "_chebyshev", SkeinElement.zero(Basis.CHEBYSHEV))
-    assert_same(psi(x), ref.psi(std({(1, 0): "A", (2, 0): "-1"})))
+@BOUNDED
+@given(skein_terms, skein_terms)
+def test_psi_of_a_product_reads_its_kept_form(xs, ys):
+    xy = SkeinElement.make(Basis.STANDARD, xs) * SkeinElement.make(Basis.STANDARD, ys)
+    plain = ref.rebuilt(xy)
+    assert xy._chebyshev is not None and plain._chebyshev is None
+    assert_same(psi(xy), psi(plain))
+    assert_same(psi(xy), ref.psi(plain))
 
 
 @BOUNDED

@@ -200,6 +200,31 @@ class TestChebAndConvert:
         assert code == 1 and "expected a standard-basis element" in err
 
 
+class TestChebyshevZeroGenerator:
+    """A Chebyshev-basis generator "(0,0)" is T_0 = 2 * empty in every verb;
+    "empty" is 1, and the JSON class [0,0] the empty class."""
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["cheb", "(0,0)"], "2"),
+            (["convert", "--to", "standard", "(0,0)"], "2"),
+            (["mul", "--basis", "chebyshev", "(0,0)", "(1,0)"], "2 (1,0)_T"),
+            (["mul", "--basis", "chebyshev", "(0,0)", "(0,0)"], "4"),
+            (["cheb", "empty"], "1"),
+            (["convert", "--to", "standard", "empty"], "1"),
+            (["mul", "--basis", "chebyshev", "empty", "(1,0)"], "(1,0)_T"),
+            (["mul", "(0,0)", "(1,0)"], "(1,0)"),
+            (["convert", "--to", "standard", '{"basis":"chebyshev","terms":[{"class":[0,0],"coeff":{"0":1}}]}'],
+             "1"),
+        ],
+        ids=["cheb", "convert", "mul", "mul-twice", "cheb-empty", "convert-empty", "mul-empty",
+             "standard-mul", "json-class"],
+    )
+    def test_zero_generator(self, capsys, argv, line):
+        assert invoke(capsys, *argv) == (0, line + "\n", "")
+
+
 class TestPsiCommands:
     def test_psi_generator(self, capsys):
         code, out, _ = invoke(capsys, "psi", "(1,0)")
@@ -336,6 +361,11 @@ class TestErrors:
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error:") and "limit" in err
+
+    def test_psi_and_conversion_share_one_refusal(self, capsys):
+        message = "error: multiplicity 6000 exceeds the limit of 1024 on Chebyshev degrees\n"
+        for argv in (["psi", "(6000,0)"], ["convert", "--to", "chebyshev", "(6000,0)"]):
+            assert invoke(capsys, *argv) == (1, "", message)
 
     def test_degree_limit_is_checked_before_the_product(self, capsys):
         start = time.process_time()

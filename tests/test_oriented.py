@@ -109,7 +109,7 @@ class TestPsi:
     @pytest.mark.parametrize("prim", [(1, 0), (0, 1), (1, -1), (2, 1), (3, -2)])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_binomial_form_matches_enumeration(self, prim, n):
-        # The closed form is only trusted because this enumeration gate passes.
+        # psi through the Chebyshev basis is only trusted because this enumeration gate passes.
         cls = UnorientedClass((n * prim[0], n * prim[1]))
         assert psi(_std(cls.vec)) == psi_oracle(cls)
 
