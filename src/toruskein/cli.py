@@ -107,7 +107,6 @@ def _build_parser() -> _Parser:
     p = add("verify", "sweep fast paths against the oracles")
     p.add_argument("--max-coord", type=_integer, default=3)
     p.add_argument("--max-det", type=_integer, default=10)
-    p.add_argument("--max-mult", type=_integer, default=3)
     p.add_argument("--budget", type=_integer, default=DEFAULT_BUDGET)
 
     return parser
@@ -171,14 +170,12 @@ def run(argv: Sequence[str] | None = None) -> int:
         elif command == "oracle-mul":
             x = UnorientedClass.parse(args.x)
             y = UnorientedClass.parse(args.y)
-            if args.dump_states:
+            dump = io.StringIO() if args.dump_states else None
+            product = unoriented_product(x, y, budget=args.budget, dump=dump)
+            if dump is not None:
                 # Open the file only once the product is done, so a refused dump clobbers nothing.
-                dump = io.StringIO()
-                product = unoriented_product(x, y, budget=args.budget, dump=dump)
                 with open(args.dump_states, "w") as out:
                     out.write(dump.getvalue())
-            else:
-                product = unoriented_product(x, y, budget=args.budget)
             _emit(product, args.json)
         elif command == "gamma-mul":
             u, v = parse_vec(args.u), parse_vec(args.v)
@@ -205,12 +202,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             value = kauffman_bracket(PDCode.parse(args.pd), budget=args.budget)
             _emit(value, args.json)
         elif command == "verify":
-            results = verify_mod.run_all(
-                max_coord=args.max_coord,
-                max_det=args.max_det,
-                max_mult=args.max_mult,
-                budget=args.budget,
-            )
+            results = verify_mod.run_all(max_coord=args.max_coord, max_det=args.max_det, budget=args.budget)
             if args.json:
                 print(json.dumps([dataclasses.asdict(r) for r in results], sort_keys=True))
             else:

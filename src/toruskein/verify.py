@@ -8,7 +8,6 @@ counterexamples found (as printable strings).  These functions back both the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
 
 from . import smoothing_oracle as oracle
 from .oriented import gamma_mul, psi
@@ -36,25 +35,26 @@ class SweepResult:
         return f"FAIL {self.name}: {self.cases} cases, e.g. {self.failures[0]}"
 
 
-def canonical_classes(max_coord: int, max_mult: int | None = None) -> list[UnorientedClass]:
+def canonical_classes(max_coord: int) -> list[UnorientedClass]:
     """All non-empty canonical classes with |a|, |b| <= max_coord."""
     return [
         UnorientedClass((a, b))
         for a in range(max_coord + 1)
         for b in range(-max_coord, max_coord + 1)
-        if is_half_plane((a, b)) and (max_mult is None or gcd(a, b) <= max_mult)
+        if is_half_plane((a, b))
     ]
 
 
-def _pairs(classes: list[UnorientedClass], max_det: int) -> list[tuple[UnorientedClass, UnorientedClass]]:
-    """The ordered pairs of ``classes`` that meet in at most ``max_det`` crossings."""
+def class_pairs(max_coord: int, max_det: int) -> list[tuple[UnorientedClass, UnorientedClass]]:
+    """The ordered pairs of canonical classes that meet in at most ``max_det`` crossings."""
+    classes = canonical_classes(max_coord)
     return [(x, y) for x in classes for y in classes if abs(det2(x.vec, y.vec)) <= max_det]
 
 
 def fg_vs_oracle_sweep(max_coord: int, max_det: int, budget: int = oracle.DEFAULT_BUDGET) -> SweepResult:
     """Fast product-to-sum multiplication against the smoothing state sum."""
     result = SweepResult("product-to-sum vs smoothing oracle")
-    for x, y in _pairs(canonical_classes(max_coord), max_det):
+    for x, y in class_pairs(max_coord, max_det):
         result.cases += 1
         fast = SkeinElement.generator(x, Basis.STANDARD) * SkeinElement.generator(y, Basis.STANDARD)
         slow = oracle.unoriented_product(x, y, budget=budget)
@@ -92,14 +92,13 @@ def oriented_monomial_sweep(
     return result, total_exponent
 
 
-def psi_homomorphism_sweep(
-    max_coord: int, max_det: int, max_mult: int, budget: int = oracle.DEFAULT_BUDGET
-) -> SweepResult:
+def psi_homomorphism_sweep(max_coord: int, max_det: int, budget: int = oracle.DEFAULT_BUDGET) -> SweepResult:
     """psi(oracle product) against the product of images in the oriented algebra."""
     result = SweepResult("psi homomorphism vs oracle")
-    classes = canonical_classes(max_coord, max_mult=max_mult)
-    images = {cls: psi(SkeinElement.generator(cls, Basis.STANDARD)) for cls in classes}
-    for x, y in _pairs(classes, max_det):
+    pairs = class_pairs(max_coord, max_det)
+    # Every swept class pairs with itself (det 0), so these are all the classes.
+    images = {x: psi(SkeinElement.generator(x, Basis.STANDARD)) for x, y in pairs if x == y}
+    for x, y in pairs:
         result.cases += 1
         via_skein = psi(oracle.unoriented_product(x, y, budget=budget))
         via_oriented = images[x] * images[y]
@@ -111,9 +110,9 @@ def psi_homomorphism_sweep(
 def swap_symmetry_sweep(max_coord: int, max_det: int) -> SweepResult:
     """mul(y, x) must equal mul(x, y) with A -> A^-1 on the coefficients."""
     result = SweepResult("swap symmetry of the product-to-sum formula")
-    classes = canonical_classes(max_coord)
-    gens = {cls: SkeinElement.generator(cls, Basis.CHEBYSHEV) for cls in classes}
-    for x, y in _pairs(classes, max_det):
+    pairs = class_pairs(max_coord, max_det)
+    gens = {x: SkeinElement.generator(x, Basis.CHEBYSHEV) for x, y in pairs if x == y}
+    for x, y in pairs:
         result.cases += 1
         forward = gens[x] * gens[y]
         backward = gens[y] * gens[x]
@@ -125,21 +124,19 @@ def swap_symmetry_sweep(max_coord: int, max_det: int) -> SweepResult:
 MAX_COORD = 16  # the sweeps visit pairs of up to (2*MAX_COORD + 1)^2 classes
 
 
-def run_all(
-    max_coord: int = 3, max_det: int = 10, max_mult: int = 3, budget: int = oracle.DEFAULT_BUDGET
-) -> list[SweepResult]:
+def run_all(max_coord: int = 3, max_det: int = 10, budget: int = oracle.DEFAULT_BUDGET) -> list[SweepResult]:
     # Checked before any class is listed; a negative bound, or a zero
-    # coordinate or multiplicity bound, would leave sweeps with no case.
-    for name, bound in ("max_coord", max_coord), ("max_det", max_det), ("max_mult", max_mult):
+    # coordinate bound, would leave sweeps with no case.
+    for name, bound in ("max_coord", max_coord), ("max_det", max_det):
         if bound < 0:
             raise ValueError(f"{name} must be at least 0, got {bound}")
-        if bound == 0 and name != "max_det":
-            raise ValueError(f"{name} must be at least 1: at 0 no class is swept")
+        if bound == 0 and name == "max_coord":
+            raise ValueError("max_coord must be at least 1: at 0 no class is swept")
     if max_coord > MAX_COORD:
         raise ValueError(f"max coordinate {max_coord} exceeds the limit of {MAX_COORD}")
-    products = {i * j for i in range(max_coord + 1) for j in range(max_coord + 1)}
-    largest = max(d for p in products for q in products for d in (p + q, abs(p - q)) if d <= max_det)
-    if largest > budget:  # the most crossings a swept pair has: |a*d - b*c| with |a|, ..., |d| <= max_coord
+    # The oriented sweep's vectors are these classes up to sign, so no pair reaches more crossings.
+    largest = max(abs(det2(x.vec, y.vec)) for x, y in class_pairs(max_coord, max_det))
+    if largest > budget:
         raise ValueError(f"the sweeps reach {largest} crossings, over the budget of {budget}")
     monomial, total_exp = oriented_monomial_sweep(max_coord, max_det, budget)
     grading = SweepResult("aggregate Gauss grading over the oriented sweep", cases=monomial.cases)
@@ -152,6 +149,6 @@ def run_all(
         fg_vs_oracle_sweep(max_coord, max_det, budget),
         monomial,
         grading,
-        psi_homomorphism_sweep(max_coord, max_det, max_mult, budget),
+        psi_homomorphism_sweep(max_coord, max_det, budget),
         swap_symmetry_sweep(max_coord, max_det),
     ]

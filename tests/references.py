@@ -71,8 +71,8 @@ def psi_oracle(cls: UnorientedClass) -> OrientedElement:
 
     Parallel copies have no crossings; each assignment reduces by canceling
     opposite pairs at unit coefficient, leaving the net signed count of
-    copies.  This is the enumeration that certifies the binomial closed form
-    used by the fast symmetrization map.
+    copies.  It shares nothing with the program's psi, which goes through the
+    Chebyshev basis, or with the binomial form ``psi`` below, so it certifies both.
     """
     if cls.is_empty:
         return OrientedElement.unit()
@@ -177,9 +177,9 @@ def random_laurent(rng: random.Random, max_exp: int = 5, max_coeff: int = 9) -> 
     return poly if not poly.is_zero else LaurentPoly.one()
 
 
-def random_class(rng: random.Random, max_coord: int = 6, max_mult: int = 4) -> UnorientedClass:
+def random_class(rng: random.Random, max_coord: int = 6) -> UnorientedClass:
     while True:
-        n = rng.randint(1, max_mult)
+        n = rng.randint(1, 4)  # the multiplicity
         p, q = rng.randint(-max_coord, max_coord), rng.randint(-max_coord, max_coord)
         if (p, q) == (0, 0):
             continue
@@ -189,12 +189,10 @@ def random_class(rng: random.Random, max_coord: int = 6, max_mult: int = 4) -> U
             return canonicalize((n * p, n * q))[0]
 
 
-def random_skein(
-    rng: random.Random, basis: Basis, max_coord: int = 6, max_mult: int = 4
-) -> SkeinElement:
+def random_skein(rng: random.Random, basis: Basis, max_coord: int = 6) -> SkeinElement:
     terms = []
     for _ in range(rng.randint(1, 4)):
-        key = EMPTY if rng.random() < 0.2 else random_class(rng, max_coord, max_mult)
+        key = EMPTY if rng.random() < 0.2 else random_class(rng, max_coord)
         terms.append((key, random_laurent(rng)))
     return SkeinElement.make(basis, terms)
 

@@ -65,7 +65,7 @@ def test_criterion_3_oriented_monomial_rule():
 
 def test_criterion_4_psi_homomorphism():
     start = time.perf_counter()
-    result = verify.psi_homomorphism_sweep(max_coord=6, max_det=8, max_mult=3)
+    result = verify.psi_homomorphism_sweep(max_coord=6, max_det=8)
     elapsed = time.perf_counter() - start
     report(
         "4 (psi is an algebra map against the oracle)",

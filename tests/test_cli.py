@@ -247,9 +247,7 @@ class TestPsiCommands:
 
 class TestVerify:
     def test_small_sweep_passes(self, capsys):
-        code, out, _ = invoke(
-            capsys, "verify", "--max-coord", "1", "--max-det", "2", "--max-mult", "2"
-        )
+        code, out, _ = invoke(capsys, "verify", "--max-coord", "1", "--max-det", "2")
         assert code == 0
         assert out.count("ok") == 5
 
@@ -273,9 +271,8 @@ class TestVerify:
         [
             (["--max-coord", "-1"], "max_coord must be at least 0, got -1"),
             (["--max-det", "-5"], "max_det must be at least 0, got -5"),
-            (["--max-mult", "-1"], "max_mult must be at least 0, got -1"),
         ],
-        ids=["max-coord", "max-det", "max-mult"],
+        ids=["max-coord", "max-det"],
     )
     def test_negative_bound_is_rejected(self, capsys, argv, message):
         # A negative bound lists no case, so it must not report "ok ... 0 cases".
@@ -286,28 +283,42 @@ class TestVerify:
         "argv, message",
         [
             (["--max-coord", "0"], "max_coord must be at least 1: at 0 no class is swept"),
-            (["--max-mult", "0"], "max_mult must be at least 1: at 0 no class is swept"),
             (
-                ["--max-coord", "0", "--max-det", "0", "--max-mult", "0"],
+                ["--max-coord", "0", "--max-det", "0"],
                 "max_coord must be at least 1: at 0 no class is swept",
             ),
         ],
-        ids=["max-coord", "max-mult", "all"],
+        ids=["max-coord", "all"],
     )
     def test_zero_bound_is_rejected(self, capsys, argv, message):
-        # A zero coordinate or multiplicity bound lists no class for some sweep.
+        # A zero coordinate bound lists no class.
         code, out, err = invoke(capsys, "verify", *argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
-    def test_crossing_budget_is_checked_before_any_sweep(self, capsys, monkeypatch):
-        # |det2((4,4), (-3,4))| = 28 is the largest det up to 30 at coordinate 4.
+    @pytest.fixture
+    def no_arrangement(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("an arrangement was built before the budget check")
 
         monkeypatch.setattr(smoothing_oracle, "build_arrangement", refuse)
+
+    def test_crossing_budget_is_checked_before_any_sweep(self, capsys, no_arrangement):
+        # |det2((4,4), (-3,4))| = 28 is the largest det up to 30 at coordinate 4.
         code, out, err = invoke(capsys, "verify", "--max-coord", "4", "--max-det", "30")
         assert (code, out) == (1, "")
         assert err == "error: the sweeps reach 28 crossings, over the budget of 24\n"
+
+    @pytest.mark.parametrize("max_coord", range(1, 6))
+    def test_crossing_budget_names_the_largest_swept_det(self, max_coord, no_arrangement):
+        # Brute force over every vector pair of the oriented sweep, (0,0) and signs included.
+        box = range(-max_coord, max_coord + 1)
+        vecs = [(a, b) for a in box for b in box]
+        dets = {abs(u[0] * v[1] - u[1] * v[0]) for u in vecs for v in vecs}
+        for max_det in range(2 * max_coord**2 + 1):
+            largest = max(d for d in dets if d <= max_det)
+            with pytest.raises(ValueError) as info:
+                verify.run_all(max_coord=max_coord, max_det=max_det, budget=largest - 1)
+            assert str(info.value) == f"the sweeps reach {largest} crossings, over the budget of {largest - 1}"
 
     def test_crossing_budget_admits_the_largest_reachable_det(self, capsys):
         # At coordinate 2 no pair has more than 8 crossings, whatever --max-det says.
@@ -316,7 +327,7 @@ class TestVerify:
 
     def test_zero_det_bound_keeps_every_sweep_nonempty(self):
         # The pairs (x, x) have det 0, so max_det = 0 stays a valid bound.
-        results = verify.run_all(max_coord=1, max_det=0, max_mult=1)
+        results = verify.run_all(max_coord=1, max_det=0)
         assert all(r.ok and r.cases > 0 for r in results), [r.summary() for r in results]
 
     def test_grading_row_fails_when_one_exponent_is_off(self, monkeypatch):
@@ -327,7 +338,7 @@ class TestVerify:
             return element, exponent + ((u, v) == ((1, 0), (0, 1)))
 
         monkeypatch.setattr(smoothing_oracle, "oriented_product_with_ledger", skewed)
-        results = verify.run_all(max_coord=1, max_det=2, max_mult=1)
+        results = verify.run_all(max_coord=1, max_det=2)
         assert [r.name for r in results if not r.ok] == ["aggregate Gauss grading over the oriented sweep"]
         assert results[2].summary().startswith(
             "FAIL aggregate Gauss grading over the oriented sweep: 81 cases, "
@@ -398,7 +409,7 @@ class TestErrors:
             ["mul", "(\u0663,0)", "(0,1)"],
             ["bracket", "--pd", "X(\u0661,3,2,4) X(3,1,4,2)"],
             ["oracle-mul", "--budget", "\u0663", "(3,0)", "(0,1)"],
-            ["verify", "--max-coord", "\u0661", "--max-det", "\u0662", "--max-mult", "\u0662"],
+            ["verify", "--max-coord", "\u0661", "--max-det", "\u0662"],
             ["oracle-mul", "--budget", "1_0", "(3,0)", "(0,1)"],
         ],
         ids=["class", "pd", "budget", "verify-bounds", "underscore"],

@@ -135,7 +135,6 @@ VERBS = {
         "verify",
         st.integers(-1, 1).map(lambda n: ["--max-coord", str(n)]),
         st.integers(-1, 3).map(lambda n: ["--max-det", str(n)]),
-        flag("--max-mult", st.integers(-1, 3).map(str)),
         budget,
     ),
     "any": st.lists(

@@ -62,7 +62,7 @@ _BASE_CASES = [
     ["bracket", "--pd", "X(1,3,2,4) X(3,1,4,2)"],
     ["bracket", "--pd", "O"],
     ["bracket", "--pd", "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"],
-    ["verify", "--max-coord", "1", "--max-det", "2", "--max-mult", "2"],
+    ["verify", "--max-coord", "1", "--max-det", "2"],
 ]
 CASES = [argv + extra for argv in _BASE_CASES for extra in ([], ["--json"])]
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import references
 from references import is_symmetric, psi_oracle, random_skein
 
 from toruskein.laurent import LaurentPoly
@@ -109,15 +110,18 @@ class TestPsi:
     @pytest.mark.parametrize("prim", [(1, 0), (0, 1), (1, -1), (2, 1), (3, -2)])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_binomial_form_matches_enumeration(self, prim, n):
-        # psi through the Chebyshev basis is only trusted because this enumeration gate passes.
+        # psi through the Chebyshev basis is only trusted because this enumeration
+        # gate passes; the test's own binomial form must match the same gate.
         cls = UnorientedClass((n * prim[0], n * prim[1]))
-        assert psi(_std(cls.vec)) == psi_oracle(cls)
+        assert psi(_std(cls.vec)) == references.psi(_std(cls.vec)) == psi_oracle(cls)
 
     def test_agrees_with_chebyshev_route(self):
+        # Multi-term Chebyshev-basis input against the binomial form, which
+        # expands (gamma + gamma^-1)^n with no Chebyshev polynomial.
         rng = random.Random(13)
         for _ in range(100):
-            x = random_skein(rng, Basis.STANDARD)
-            assert psi(x) == psi_chebyshev(x.to_chebyshev())
+            x = random_skein(rng, Basis.CHEBYSHEV)
+            assert psi_chebyshev(x) == references.psi(x.to_standard())
 
     def test_algebra_map_on_fast_products(self):
         classes = canonical_classes(2)
