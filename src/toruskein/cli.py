@@ -35,7 +35,7 @@ from .skein import Basis, SkeinElement, chebyshev_generator
 from .smoothing_oracle import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    oriented_product_with_ledger,
+    oriented_product,
     unoriented_product,
 )
 from .torus_curves import UnorientedClass, parse_vec
@@ -170,7 +170,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         elif command == "oracle-mul":
             x = UnorientedClass.parse(args.x)
             y = UnorientedClass.parse(args.y)
-            dump = io.StringIO() if args.dump_states else None
+            dump = io.StringIO() if args.dump_states is not None else None
             product = unoriented_product(x, y, budget=args.budget, dump=dump)
             if dump is not None:
                 # Open the file only once the product is done, so a refused dump clobbers nothing.
@@ -181,7 +181,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             u, v = parse_vec(args.u), parse_vec(args.v)
             fast = gamma_mul(u, v)
             if args.oracle:
-                slow, _exponent = oriented_product_with_ledger(u, v, budget=args.budget)
+                slow = oriented_product(u, v, budget=args.budget)
                 if fast != slow:
                     print(f"MISMATCH: fast = {fast}; oracle = {slow}", file=sys.stderr)
                     return 2

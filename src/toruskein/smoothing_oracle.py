@@ -54,9 +54,9 @@ Resolution conventions (all signs downstream hang off one table):
 
 A counterclockwise trivial circle counts winding +1.  The oriented smoothing
 of two transverse families closes no circle (``_classify`` raises on one), so
-the product's A-exponent is the resolution's shift in ``_CORNERS`` times k, and
-``oriented_product_with_ledger`` returns that exponent with it.  The exponent
-is read, not traced: the walk traces only the homology, checked against u + v.
+the product's A-exponent is the resolution's shift in ``_CORNERS`` times k.
+The exponent is read, not traced: the walk traces only the homology, checked
+against u + v.
 Crossing-free products are not traced, in either oracle: the merge of
 parallel copies and the cancellation of antiparallel ones (circles of winding
 +1 and -1, coefficients -A^2 and -A^-2, product 1) are asserted.
@@ -579,18 +579,14 @@ def unoriented_product(
 # ----------------------------------------------------------------------
 
 
-# Keeps its name, by which the benchmark's tracer counts oriented oracle calls.
-def oriented_product_with_ledger(
-    u: Vec2, v: Vec2, budget: int = DEFAULT_BUDGET
-) -> tuple[OrientedElement, int]:
-    """Oriented superposition product of gamma_u over gamma_v, with its
-    A-exponent, read (not traced) as the orientation-compatible resolution's
-    shift in ``_CORNERS`` times the k crossings, 0 when there are none."""
+def oriented_product(u: Vec2, v: Vec2, budget: int = DEFAULT_BUDGET) -> OrientedElement:
+    """Oriented superposition product of gamma_u over gamma_v: a single
+    monomial on the gamma key u + v."""
     if det2(u, v) == 0:
         # No crossings: an empty, parallel or antiparallel pair.  Antiparallel
         # copies cancel in pairs, each deleting circles of winding +1 and -1
         # (coefficients -A^2 and -A^-2, product 1); asserted, not traced.
-        return OrientedElement.gamma((u[0] + v[0], u[1] + v[1])), 0
+        return OrientedElement.gamma((u[0] + v[0], u[1] + v[1]))
 
     arr = build_arrangement(u, v, budget=budget)
     k = arr.crossing_count
@@ -598,7 +594,6 @@ def oriented_product_with_ledger(
     # joining u_in to v_out, and contributes its A-exponent shift.
     pairings = _CORNERS[arr.d0 > 0]
     is_b = _walks(pairings)[1]
-    exponent = pairings[is_b][0] * k
     components = _components(arr, is_b * ((1 << k) - 1))
     _circles, count, direction = _classify(components, oriented=True)
     total = (count * direction[0], count * direction[1])
@@ -606,10 +601,9 @@ def oriented_product_with_ledger(
         raise ArrangementError(
             f"oriented homology {total} does not match {u} + {v}"
         )
-    element = OrientedElement(((total, LaurentPoly.monomial(1, exponent)),))
-    return element, exponent
+    return OrientedElement(((total, LaurentPoly.monomial(1, pairings[is_b][0] * k)),))
 
 
-def oriented_product(u: Vec2, v: Vec2, budget: int = DEFAULT_BUDGET) -> OrientedElement:
-    """Oriented superposition product; a single monomial on one gamma key."""
-    return oriented_product_with_ledger(u, v, budget=budget)[0]
+# The benchmark's tracer counts oriented oracle calls by this name, until
+# ROADMAP item 1 points the tracer elsewhere.
+oriented_product_with_ledger = oriented_product

@@ -68,11 +68,12 @@ def oriented_monomial_sweep(
 ) -> tuple[SweepResult, int]:
     """Monomial rule vs the oriented oracle, over every ordered vector pair.
 
-    Also returns the sum over the sweep of the oracle's A-exponents, each read
-    from ``_CORNERS`` as the resolution's shift times k, not traced.  A correct
-    oracle's is -det2(u, v) and the sweep holds each pair both ways round, so
-    the sum is 0; it is 0 too for a ``_CORNERS`` whose two entries mirror each
-    other, or for any error antisymmetric in (u, v).
+    Also returns the sum over the sweep of the A-exponents of the oracle's
+    monomials.  A correct oracle's is -det2(u, v) and the sweep holds each
+    pair both ways round, so the sum is 0; it is 0 too for a ``_CORNERS``
+    whose two entries mirror each other, or for any error antisymmetric in
+    (u, v).  The monomial row checks each exponent, so the grading row can
+    fail only together with it.
     """
     result = SweepResult("oriented monomial rule vs oriented oracle")
     total_exponent = 0
@@ -85,10 +86,10 @@ def oriented_monomial_sweep(
                 continue
             result.cases += 1
             fast = gamma_mul(u, v)
-            slow, exponent = oracle.oriented_product_with_ledger(u, v, budget=budget)
+            slow = oracle.oriented_product_with_ledger(u, v, budget=budget)
             if fast != slow:
                 result.fail(f"gamma{u} * gamma{v}: fast = {fast}; oracle = {slow}")
-            total_exponent += exponent
+            total_exponent += sum(exp for _gamma, coeff in slow.terms() for exp in coeff._terms)
     return result, total_exponent
 
 

@@ -105,10 +105,10 @@ def test_criterion_6_roundtrips():
 
 
 def test_criterion_7_gauss_grading():
-    # Each oracle product's A-exponent, -det2(u, v), is read from _CORNERS, not
-    # traced; criterion 3's sweep holds every ordered pair both ways round, so
-    # the exponents sum to 0.  An error antisymmetric in (u, v) would sum to 0 as
-    # well; criterion 3 compares each product on its own.
+    # Each oracle product is one monomial of A-exponent -det2(u, v); criterion
+    # 3's sweep holds every ordered pair both ways round, so the exponents sum
+    # to 0.  An error antisymmetric in (u, v) would sum to 0 as well; criterion
+    # 3 compares each product on its own.
     sweep, total_exp, _ = _oriented_sweep_cached()
     report(
         "7 (Gauss grading over criterion 3's sweep)",

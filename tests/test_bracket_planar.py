@@ -65,6 +65,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="exactly twice"):
             PDCode(((1, 1, 1, 1), (2, 2, 3, 3)))
 
+    def test_crossing_arity_enforced(self):
+        with pytest.raises(ValueError, match=r"crossing \(1, 2, 3\) is not a 4-tuple"):
+            PDCode(((1, 2, 3),))
+
     def test_free_loops_nonnegative(self):
         with pytest.raises(ValueError):
             PDCode((), free_loops=-1)

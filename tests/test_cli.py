@@ -12,9 +12,14 @@ from references import TOO_LONG, needs_digit_limit
 import toruskein
 from toruskein import chebyshev, smoothing_oracle, verify
 from toruskein.cli import run
+from toruskein.laurent import A
 from toruskein.oriented import OrientedElement, psi
 from toruskein.skein import Basis, SkeinElement
 from toruskein.torus_curves import UnorientedClass
+
+
+def _standard(vec):
+    return SkeinElement.generator(UnorientedClass(vec), Basis.STANDARD)
 
 
 def invoke(capsys, *argv):
@@ -131,6 +136,11 @@ class TestOracleMul:
         assert dump.read_text() == "kept\n"
         assert time.process_time() - start < 1.0
 
+    def test_empty_dump_path_is_refused(self, capsys):
+        # An empty path is a path, not "no dump": open refuses it.
+        code, out, err = invoke(capsys, "oracle-mul", "--dump-states", "", "(1,0)", "(0,1)")
+        assert (code, out, err) == (1, "", "error: [Errno 2] No such file or directory: ''\n")
+
     def test_dump_at_the_limit_lists_every_state(self, capsys, tmp_path):
         dump = tmp_path / "states.txt"
         code, _, _ = invoke(capsys, "oracle-mul", "--dump-states", str(dump), "(16,0)", "(0,1)")
@@ -163,6 +173,12 @@ class TestGammaMul:
     def test_oracle_check(self, capsys):
         code, out, _ = invoke(capsys, "gamma-mul", "--oracle", "(2,1)", "(-1,2)")
         assert code == 0 and out.strip()
+
+    def test_oracle_mismatch_exits_2(self, capsys, monkeypatch):
+        # The oracle's product without its A-exponent, -det2((1,0), (0,1)) = -1.
+        monkeypatch.setattr("toruskein.cli.oriented_product", lambda u, v, budget: OrientedElement.gamma((1, 1)))
+        code, out, err = invoke(capsys, "gamma-mul", "--oracle", "(1,0)", "(0,1)")
+        assert (code, out, err) == (2, "", "MISMATCH: fast = A^-1 g(1,1); oracle = g(1,1)\n")
 
     def test_json_reparses(self, capsys):
         from toruskein.oriented import OrientedElement, gamma_mul
@@ -331,19 +347,77 @@ class TestVerify:
         assert all(r.ok and r.cases > 0 for r in results), [r.summary() for r in results]
 
     def test_grading_row_fails_when_one_exponent_is_off(self, monkeypatch):
-        traced = smoothing_oracle.oriented_product_with_ledger
+        # The grading row reads each exponent from the oracle's own monomial,
+        # so it fails only together with the monomial row.
+        traced = smoothing_oracle.oriented_product
 
         def skewed(u, v, budget=smoothing_oracle.DEFAULT_BUDGET):
-            element, exponent = traced(u, v, budget=budget)
-            return element, exponent + ((u, v) == ((1, 0), (0, 1)))
+            element = traced(u, v, budget=budget)
+            return element.map_coefficients(lambda c: c * A) if (u, v) == ((1, 0), (0, 1)) else element
 
         monkeypatch.setattr(smoothing_oracle, "oriented_product_with_ledger", skewed)
         results = verify.run_all(max_coord=1, max_det=2)
-        assert [r.name for r in results if not r.ok] == ["aggregate Gauss grading over the oriented sweep"]
+        assert [r.name for r in results if not r.ok] == [
+            "oriented monomial rule vs oriented oracle",
+            "aggregate Gauss grading over the oriented sweep",
+        ]
         assert results[2].summary().startswith(
             "FAIL aggregate Gauss grading over the oriented sweep: 81 cases, "
             "e.g. the oracle's exponents sum to 1, not 0"
         )
+
+    @pytest.mark.parametrize(
+        "row, owner, name, hit, message",
+        [
+            (
+                0, SkeinElement, "__mul__",
+                lambda x, y: x.basis == Basis.STANDARD and (x, y) == (_standard((1, 0)), _standard((0, 1))),
+                "(1,0) * (0,1): fast = A^2 (1,-1) + (1,1); oracle = A (1,-1) + A^-1 (1,1)",
+            ),
+            (
+                1, verify, "gamma_mul",
+                lambda u, v: (u, v) == ((1, 0), (0, 1)),
+                "gamma(1, 0) * gamma(0, 1): fast = g(1,1); oracle = A^-1 g(1,1)",
+            ),
+            (
+                3, verify, "psi",
+                lambda x: x == _standard((1, 0)) * _standard((0, 1)),
+                "psi((1,0) * (0,1)) != psi((1,0)) psi((0,1))",
+            ),
+            (
+                4, SkeinElement, "__mul__",
+                lambda x, y: x.basis == Basis.CHEBYSHEV and x == y == SkeinElement.generator(
+                    UnorientedClass((1, 0)), Basis.CHEBYSHEV
+                ),
+                "(1,0)_T * (1,0)_T is not mirror-symmetric under swapping",
+            ),
+        ],
+        ids=["fg", "oriented", "psi", "swap"],
+    )
+    def test_each_row_reports_its_one_failing_pair(self, capsys, monkeypatch, row, owner, name, hit, message):
+        # The call the row's sweep makes returns A times its result for one
+        # pair, so that row alone fails, on that pair alone.
+        original = getattr(owner, name)
+
+        def skewed(*args):
+            result = original(*args)
+            return result.map_coefficients(lambda c: c * A) if hit(*args) else result
+
+        monkeypatch.setattr(owner, name, skewed)
+        argv = ["verify", "--max-coord", "1", "--max-det", "2"]
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 2
+        code, json_out, _ = invoke(capsys, *argv, "--json")
+        assert code == 2
+        report = json.loads(json_out)
+        assert [r["failures"] for r in report] == [[message] if i == row else [] for i in range(5)]
+        assert out.splitlines()[row] == f"FAIL {report[row]['name']}: {report[row]['cases']} cases, e.g. {message}"
+        assert sum(line.startswith("ok   ") for line in out.splitlines()) == 4
+        if row == 0:  # the counterexample pastes into oracle-mul
+            x, y = message.split(":")[0].split(" * ")
+            assert (UnorientedClass.parse(x), UnorientedClass.parse(y)) == (
+                UnorientedClass((1, 0)), UnorientedClass((0, 1))
+            )
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         broken = verify.SweepResult("stub", cases=1, failures=["counterexample"])
@@ -487,13 +561,18 @@ class TestErrors:
              "terms[0].coeff: expected an integer exponent key, got '-'"),
             ("psi", '{"basis":"standard","terms":[{"class":[1,0],"coeff":{"2":1,"":1}}]}',
              "terms[0].coeff: expected an integer exponent key, got ''"),
+            ("psi", '{"basis":"standard","terms":5}', "error: terms: expected a list, got 5\n"),
+            ("psi-inv", '{"terms":[1]}', "error: terms[0]: expected a JSON object, got 1\n"),
+            ("convert --to chebyshev", '{"basis":"standard","terms":[{"class":[1,0],"coeff":[1]}]}',
+             "error: terms[0].coeff: expected an object of exponent: coefficient, got [1]\n"),
         ],
         ids=["not-json", "no-terms", "short-gamma", "standard-no-terms", "float-class",
              "bool-gamma", "string-coeff", "underscore-exponent", "spaced-exponent",
-             "non-ascii-exponent", "bare-minus-exponent", "empty-exponent"],
+             "non-ascii-exponent", "bare-minus-exponent", "empty-exponent", "terms-not-a-list",
+             "term-not-an-object", "coeff-not-an-object"],
     )
     def test_bad_json(self, capsys, verb, text, where):
-        code, out, err = invoke(capsys, verb, text)
+        code, out, err = invoke(capsys, *verb.split(), text)
         assert code == 1 and out == ""
         assert err.startswith("error:") and where in err
         assert "Traceback" not in err

@@ -23,7 +23,6 @@ from toruskein.smoothing_oracle import (
     BudgetExceededError,
     build_arrangement,
     oriented_product,
-    oriented_product_with_ledger,
     unoriented_product,
 )
 from toruskein.torus_curves import EMPTY, UnorientedClass, canonicalize, det2, split_signed
@@ -612,15 +611,14 @@ class TestOrientedProduct:
                 assert oriented_product(u, v) == gamma_mul(u, v)
 
     def test_ledger_for_transverse_families(self):
-        # The traced Gauss sum: one A^(-sign(d0)) per crossing, here 3 of them.
+        # The exponent read from _CORNERS: one A^(-sign(d0)) per crossing, here 3 of them.
         u, v = (1, 2), (2, 1)
-        assert oriented_product_with_ledger(u, v) == (
-            OrientedElement.make({(3, 3): LaurentPoly.parse("A^3")}), -det2(u, v)
-        )
+        assert -det2(u, v) == 3
+        assert oriented_product(u, v) == OrientedElement.make({(3, 3): LaurentPoly.parse("A^3")})
 
     def test_ledger_for_cancelling_pairs(self):
         # No crossings, so nothing is traced: the cancellation is asserted.
-        assert oriented_product_with_ledger((2, 0), (-3, 0)) == (OrientedElement.gamma((-1, 0)), 0)
+        assert oriented_product((2, 0), (-3, 0)) == OrientedElement.gamma((-1, 0))
 
 
 class TestPsiOracle:
