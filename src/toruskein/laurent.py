@@ -12,13 +12,13 @@ inside a number.  Terms print in ascending exponent order (``"-A^-2 - A^2"`` is
 the circle value delta).  JSON form: an object mapping exponent strings (ASCII
 ``-?[0-9]+``) to integer coefficients, e.g. ``{"-2": -1, "2": -1}``.
 
-Polynomial ``+`` and ``*``, the fast algebra and the state sums accumulate
-into bare {exponent: coeff} maps with one loop, ``add_product`` (``circle_step``
-for a power of delta), and turn each finished map into a polynomial once with
-``wrap_nonzero``, which drops its zeros.  Sums of whole coefficients (basis
-changes, psi, merging equal keys) go through ``accumulate``, which keeps a
-coefficient that lands once, unscaled, as the same object and copies it only
-when a second one lands on its key.
+Polynomial ``+`` and ``*``, the fast algebra and the brute-force state sum
+accumulate into bare {exponent: coeff} maps with one loop, ``add_product``
+(``circle_step`` for a power of delta), and turn each finished map into a
+polynomial once with ``wrap_nonzero``, which drops its zeros.  Sums of whole
+coefficients (basis changes, psi, merging equal keys) go through
+``accumulate``, which keeps a coefficient that lands once, unscaled, as the
+same object and copies it only when a second one lands on its key.
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ def _wrap(canonical: dict[int, int]) -> LaurentPoly:
 
 
 def circle_step(acc: dict[int, int], terms: Mapping[int, int], shift: int, circles: int) -> None:
-    """acc += A^shift * delta^circles * terms: the state sums' add_product."""
+    """acc += A^shift * delta^circles * terms: the brute-force state sum's add_product."""
     add_product(acc, terms, _delta_power(circles), shift)
 
 

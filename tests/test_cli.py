@@ -412,7 +412,6 @@ class TestVerify:
         report = json.loads(json_out)
         assert [r["failures"] for r in report] == [[message] if i == row else [] for i in range(5)]
         assert out.splitlines()[row] == f"FAIL {report[row]['name']}: {report[row]['cases']} cases, e.g. {message}"
-        assert sum(line.startswith("ok   ") for line in out.splitlines()) == 4
         if row == 0:  # the counterexample pastes into oracle-mul
             x, y = message.split(":")[0].split(" * ")
             assert (UnorientedClass.parse(x), UnorientedClass.parse(y)) == (
