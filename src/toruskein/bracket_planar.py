@@ -82,7 +82,7 @@ class PDCode:
         """Parse the text form, e.g. ``"X(1,3,2,4) X(3,1,4,2) O"``."""
         crossings = []
         loops = 0
-        pos = 0
+        pos = 0 if text.strip() else len(text)  # whitespace alone is the empty diagram
         token = re.compile(r"\s*(X\s*\(\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*,\s*([0-9]+)\s*\)|O)\s*")
         while pos < len(text):
             m = token.match(text, pos)

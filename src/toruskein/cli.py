@@ -153,7 +153,11 @@ def _oriented_argument(text: str) -> OrientedElement:
 
 
 def _emit(obj, as_json: bool) -> None:
-    print(json.dumps(obj.to_json(), sort_keys=True) if as_json else str(obj))
+    try:
+        text = json.dumps(obj.to_json(), sort_keys=True) if as_json else str(obj)
+    except ValueError:  # a number with more digits than str() converts
+        raise _UsageError("the result has a number too long to print") from None
+    print(text)
 
 
 def run(argv: Sequence[str] | None = None) -> int:

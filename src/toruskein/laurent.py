@@ -12,20 +12,21 @@ inside a number.  Terms print in ascending exponent order (``"-A^-2 - A^2"`` is
 the circle value delta).  JSON form: an object mapping exponent strings (ASCII
 ``-?[0-9]+``) to integer coefficients, e.g. ``{"-2": -1, "2": -1}``.
 
-Polynomial ``+`` and ``*``, the fast algebra and the brute-force state sum
-accumulate into bare {exponent: coeff} maps with one loop, ``add_product``
-(``circle_step`` for a power of delta), and turn each finished map into a
-polynomial once with ``wrap_nonzero``, which drops its zeros.  Sums of whole
-coefficients (basis changes, psi, merging equal keys) go through
-``accumulate``, which keeps a coefficient that lands once, unscaled, as the
-same object and copies it only when a second one lands on its key.
+Polynomial ``+`` and ``*`` and the fast algebra accumulate into bare
+{exponent: coeff} maps with one loop, ``add_product``, and turn each finished
+map into a polynomial once with ``wrap_nonzero``, which drops its zeros.  The
+smoothing oracle's two state sums add their own weights, A-shifted delta
+powers from ``smoothing_oracle._DELTA_POWERS``, so they share no loop with
+the fast algebra.  Sums of whole coefficients (basis changes, psi, merging
+equal keys) go through ``accumulate``, which keeps a coefficient that lands
+once, unscaled, as the same object and copies it only when a second one
+lands on its key.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator, Mapping
-from functools import cache
 
 _TERM = re.compile(r"\s*([+-]?)\s*([0-9]*)\s*(?:(A)\s*(?:\^\s*([+-]?)\s*([0-9]*))?)?\s*")
 
@@ -241,11 +242,6 @@ def _wrap(canonical: dict[int, int]) -> LaurentPoly:
     return poly
 
 
-def circle_step(acc: dict[int, int], terms: Mapping[int, int], shift: int, circles: int) -> None:
-    """acc += A^shift * delta^circles * terms: the brute-force state sum's add_product."""
-    add_product(acc, terms, _delta_power(circles), shift)
-
-
 def add_product(
     acc: dict[int, int], x: Mapping[int, int], y: Mapping[int, int] | None = None,
     shift: int = 0, scale: int = 1,
@@ -253,9 +249,9 @@ def add_product(
     """acc += scale * A^shift * x * y on bare {exponent: coeff} maps (no y: 1).
 
     This is the package's one accumulation loop: ``LaurentPoly``'s ``+`` and
-    ``*``, the fast algebra's products and the state sums add into such maps,
-    zero entries and all (``accumulate`` adds whole coefficients through it),
-    and turn each finished map into a polynomial once.
+    ``*`` and the fast algebra's products add into such maps, zero entries
+    and all (``accumulate`` adds whole coefficients through it), and turn
+    each finished map into a polynomial once.
     """
     if y is None:
         y = _ONE._terms
@@ -300,11 +296,6 @@ def _nonzero(terms: dict[int, int]) -> dict[int, int]:
     if all(terms.values()):
         return terms
     return {e: c for e, c in terms.items() if c}
-
-
-@cache
-def _delta_power(n: int) -> dict[int, int]:
-    return (_DELTA**n)._terms
 
 
 def signed_monomial(exp: int, coeff: int) -> tuple[str, str]:

@@ -69,15 +69,18 @@ from functools import cache
 from operator import itemgetter
 from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
-from .laurent import DELTA, LaurentPoly, circle_step
+from .laurent import DELTA, LaurentPoly
 from .oriented import OrientedElement
 from .skein import Basis, SkeinElement, from_vec_maps
 from .torus_curves import EMPTY, UnorientedClass, Vec2, det2, split_signed
 
 DEFAULT_BUDGET = 24
-DUMP_LIMIT = 16  # most crossings a dump lists the 2^k states of
-# delta^n as (exponent, coefficient) pairs, for the at most two circles a crossing closes.
-_DELTA_POWERS = tuple((DELTA**n).terms() for n in range(3))
+DUMP_LIMIT = 16  # most crossings the brute-force state sum (a dump) takes: 2^k states
+# delta^n as (exponent, coefficient) pairs, the weights both state sums add: a crossing
+# closes at most two circles, a state of k crossings at most k (one per over-strand out-port).
+_DELTA_POWERS: tuple[tuple[tuple[int, int], ...], ...] = (((0, 1),),)
+while len(_DELTA_POWERS) <= DUMP_LIMIT:
+    _DELTA_POWERS += ((LaurentPoly(_DELTA_POWERS[-1]) * DELTA).terms(),)
 
 # Port roles within a crossing: over-strand in/out, under-strand in/out.
 U_IN, U_OUT, V_IN, V_OUT = 0, 1, 2, 3
@@ -339,13 +342,19 @@ def _class(count: int, direction: Vec2 | None) -> UnorientedClass:
 
 def _state_sum(arr: Arrangement, dump: IO[str] | None = None) -> dict[tuple, dict[int, int]]:
     """Brute force: trace each of the 2^k states, optionally listing them;
-    keyed as ``contract`` keys its result."""
+    keyed as ``contract`` keys its result.  Past ``DUMP_LIMIT`` crossings it
+    raises BudgetExceededError before it traces any state."""
     k = arr.crossing_count
+    if k > DUMP_LIMIT:
+        raise BudgetExceededError(f"{k} crossings exceed the limit of {DUMP_LIMIT} for listing states")
     acc: dict[tuple, dict[int, int]] = {}
     for mask in range(1 << k):
         exponent = k - 2 * bin(mask).count("1")
         circles, ess_count, ess_dir = _classify(_components(arr, mask))
-        circle_step(acc.setdefault((ess_count, ess_dir), {}), {0: 1}, exponent, circles)
+        bucket = acc.setdefault((ess_count, ess_dir), {})
+        for de, dc in _DELTA_POWERS[circles]:
+            de += exponent
+            bucket[de] = bucket.get(de, 0) + dc
         if dump is not None:
             dump.write(f"{mask:0{k}b} {exponent} {circles} {_class(ess_count, ess_dir)}\n")
     return acc
@@ -564,10 +573,6 @@ def unoriented_product(
         return SkeinElement.generator(merged, Basis.STANDARD)
 
     arr = build_arrangement(x.vec, y.vec, budget=budget)
-    if dump is not None and arr.crossing_count > DUMP_LIMIT:  # the listing has 2^k lines
-        raise BudgetExceededError(
-            f"{arr.crossing_count} crossings exceed the limit of {DUMP_LIMIT} for listing states"
-        )
     states = _contracted_sum(arr) if dump is None else _state_sum(arr, dump)  # one bucket per class
     return from_vec_maps(Basis.STANDARD, {
         (count * d[0], count * d[1]) if count else None: bucket for (count, d), bucket in states.items()

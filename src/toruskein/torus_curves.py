@@ -90,7 +90,7 @@ class UnorientedClass:
 
     @classmethod
     def from_json(cls, data: object) -> "UnorientedClass":
-        return EMPTY if data == "empty" or data is None else canonicalize(vec_from_json(data))[0]
+        return EMPTY if data == "empty" else canonicalize(vec_from_json(data))[0]
 
 
 EMPTY = UnorientedClass(None)

@@ -68,6 +68,15 @@ class TestBracket:
         code, _, err = invoke(capsys, "bracket", "--pd", "X(1,2,3)")
         assert code == 1 and "error:" in err
 
+    @pytest.mark.parametrize("pd", ["", " ", " \t\n "], ids=["empty", "space", "whitespace"])
+    def test_whitespace_alone_is_the_empty_diagram(self, capsys, pd):
+        assert invoke(capsys, "bracket", "--pd", pd) == (0, "1\n", "")
+
+    @pytest.mark.parametrize("pd, position", [(" Z", 0), ("O  Z", 3)])
+    def test_bad_token_position_counts_from_the_text_start(self, capsys, pd, position):
+        message = f"error: bad PD token at position {position}: {pd[position:]!r}\n"
+        assert invoke(capsys, "bracket", "--pd", pd) == (1, "", message)
+
     def test_json_reparses(self, capsys):
         from toruskein.laurent import LaurentPoly
 
@@ -140,6 +149,15 @@ class TestOracleMul:
         # An empty path is a path, not "no dump": open refuses it.
         code, out, err = invoke(capsys, "oracle-mul", "--dump-states", "", "(1,0)", "(0,1)")
         assert (code, out, err) == (1, "", "error: [Errno 2] No such file or directory: ''\n")
+
+    @pytest.mark.parametrize(
+        "x, y", [("(1,1)", "(1,-1)"), ("(2,1)", "(1,-2)"), ("(4,-4)", "(3,0)"), ("(16,0)", "(0,1)")]
+    )
+    def test_dump_leaves_stdout_as_it_is(self, capsys, tmp_path, x, y):
+        # Without a dump the state sum is contracted; with one it is the brute force's own.
+        contracted = invoke(capsys, "oracle-mul", x, y)
+        assert contracted[0] == 0
+        assert invoke(capsys, "oracle-mul", "--dump-states", str(tmp_path / "states.txt"), x, y) == contracted
 
     def test_dump_at_the_limit_lists_every_state(self, capsys, tmp_path):
         dump = tmp_path / "states.txt"
@@ -458,6 +476,15 @@ class TestErrors:
         assert err == "error: Chebyshev index 1026 exceeds the limit of 1024 on Chebyshev degrees\n"
         assert time.process_time() - start < 1.0
 
+    @pytest.mark.parametrize(
+        "x, y",
+        [(f"({'7' * 3000},1)", f"(1,{'7' * 3000})"), (f"({'9' * 4300},1)", f"({'9' * 4300},-1)")],
+        ids=["index-of-3001-digits", "index-of-4301-digits"],
+    )
+    def test_long_degree_is_refused_without_printing_it(self, capsys, x, y):
+        message = "error: Chebyshev index of more than 60 digits exceeds the limit of 1024 on Chebyshev degrees\n"
+        assert invoke(capsys, "mul", x, y) == (1, "", message)
+
     def test_degree_limit_is_checked_before_the_expansion(self, capsys):
         big = {"basis": "chebyshev", "terms": [{"class": [1, 0], "coeff": {"0": 1}},
                                                {"class": [1025, 0], "coeff": {"0": 1}}]}
@@ -537,6 +564,25 @@ class TestErrors:
         assert err.startswith(f"error: {message}") and err.endswith(" characters)\n")
         assert "Traceback" not in err and "set_int_max_str_digits" not in err
 
+    @needs_digit_limit
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gamma-mul", "(N,1)", "(1,N)"],
+            ["gamma-mul", "--json", "(N,1)", "(1,N)"],
+            ["mul", "--basis", "chebyshev", "(N,1)", "(1,N)"],
+            ["mul", "(N,1)", "(1,N+1)"],
+        ],
+        ids=["gamma-mul", "gamma-mul-json", "mul-chebyshev", "mul-standard"],
+    )
+    def test_result_past_the_digit_limit_is_refused_by_name(self, capsys, argv):
+        # N has half as many digits as TOO_LONG, so det2((N,1), (1,N)) = N^2 - 1,
+        # the product's A-exponent, has more than str() converts.
+        n = int("7" * (len(TOO_LONG) // 2))
+        argv = [a.replace("N+1", str(n + 1)).replace("N", str(n)) for a in argv]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: the result has a number too long to print\n")
+
     @pytest.mark.parametrize(
         "verb, text, where",
         [
@@ -564,11 +610,13 @@ class TestErrors:
             ("psi-inv", '{"terms":[1]}', "error: terms[0]: expected a JSON object, got 1\n"),
             ("convert --to chebyshev", '{"basis":"standard","terms":[{"class":[1,0],"coeff":[1]}]}',
              "error: terms[0].coeff: expected an object of exponent: coefficient, got [1]\n"),
+            ("psi", '{"basis":"standard","terms":[{"class":null,"coeff":{"0":1}}]}',
+             "error: terms[0].class: expected [a, b], got None\n"),
         ],
         ids=["not-json", "no-terms", "short-gamma", "standard-no-terms", "float-class",
              "bool-gamma", "string-coeff", "underscore-exponent", "spaced-exponent",
              "non-ascii-exponent", "bare-minus-exponent", "empty-exponent", "terms-not-a-list",
-             "term-not-an-object", "coeff-not-an-object"],
+             "term-not-an-object", "coeff-not-an-object", "null-class"],
     )
     def test_bad_json(self, capsys, verb, text, where):
         code, out, err = invoke(capsys, *verb.split(), text)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from references import BOUNDED, TOO_LONG, coeffs, needs_digit_limit, shifted
 
-from toruskein.laurent import A, DELTA, ONE, ZERO, LaurentPoly, ParseError, circle_step
+from toruskein.laurent import A, DELTA, ONE, ZERO, LaurentPoly, ParseError
 
 
 def mono(c, e):
@@ -231,16 +231,6 @@ class TestStoredOrder:
             assert list(poly.to_json().items()) == [("-3", 2), ("0", 7), ("1", -5), ("4", 1)]
             assert repr(poly) == "LaurentPoly({-3: 2, 0: 7, 1: -5, 4: 1})"
             assert hash(poly) == hash(expected)
-
-
-polys = st.dictionaries(st.integers(-9, 9), st.integers(-99, 99), max_size=6).map(LaurentPoly)
-
-
-@given(polys, polys, st.integers(-6, 6), st.integers(0, 5))
-def test_circle_step_multiplies_by_a_shift_and_delta_powers(acc, poly, shift, circles):
-    bare = dict(acc.terms())
-    circle_step(bare, dict(poly.terms()), shift, circles)
-    assert LaurentPoly(bare) == acc + shifted(poly, shift) * DELTA**circles
 
 
 # ----- one product loop: ring operations against plain-dict references -----

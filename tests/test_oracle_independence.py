@@ -13,7 +13,11 @@ from pathlib import Path
 import toruskein
 from toruskein import bracket_planar, smoothing_oracle
 
-FAST_PATH_NAMES = {"_mul_chebyshev", "gamma_mul", "power_to_chebyshev"}
+# The fast product's kernels and the accumulation loops it runs on; the oracle
+# adds its own state weights.
+FAST_PATH_NAMES = {
+    "_mul_chebyshev", "gamma_mul", "power_to_chebyshev", "add_product", "accumulate", "circle_step",
+}
 
 
 def _tree(module) -> ast.Module:

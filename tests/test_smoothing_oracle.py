@@ -584,6 +584,23 @@ class TestUnorientedProduct:
             assert residual == "empty" or residual.startswith("(")
         assert sum(int(r[2]) for r in records) == 2  # the two mixed states
 
+    def test_state_sum_refuses_past_the_dump_limit_before_tracing(self, monkeypatch):
+        arr = build_arrangement((17, 0), (0, 1))
+        monkeypatch.setattr(smoothing_oracle, "_components", lambda *_: pytest.fail("a state was traced"))
+        with pytest.raises(BudgetExceededError, match="^17 crossings exceed the limit of 16 for listing states$"):
+            smoothing_oracle._state_sum(arr)
+
+    def test_delta_powers_cover_every_state_the_brute_force_takes(self):
+        # A state of k crossings closes at most k circles, one per over-strand out-port.
+        powers = smoothing_oracle._DELTA_POWERS
+        assert len(powers) == smoothing_oracle.DUMP_LIMIT + 1
+        for n, terms in enumerate(powers):
+            assert LaurentPoly(terms) == LaurentPoly.delta() ** n
+        # (4,0) over (0,4) is a 4x4 grid, whose checkerboard states close 8 circles.
+        dump = io.StringIO()
+        assert unoriented_product(cls((4, 0)), cls((0, 4)), dump=dump) == std((4, 0)) * std((0, 4))
+        assert max(int(line.split()[2]) for line in dump.getvalue().splitlines()) == 8
+
 
 class TestOrientedProduct:
     def test_chart_anchor(self):
