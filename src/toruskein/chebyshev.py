@@ -12,13 +12,14 @@ from functools import lru_cache
 from math import comb
 from operator import sub
 
+from .laurent import shown_int
+
 IntPoly = tuple[int, ...]  # coefficients, index = power of the indeterminate
 
 # Largest degree the conversions (and so psi and products) accept.  T_0..T_n
 # cost O(n^2) bigint work and stay in the cache (about 25 MiB at this limit),
 # so larger degrees are refused before any work starts.
 MAX_DEGREE = 1024
-_SHOWN_DIGITS = 60  # a refused degree with more digits is described, not printed in decimal
 
 
 def check_degree(n: int, what: str) -> None:
@@ -26,8 +27,7 @@ def check_degree(n: int, what: str) -> None:
     if n < 0:
         raise ValueError(f"{what} must be >= 0")
     if n > MAX_DEGREE:
-        shown = n if n < 10**_SHOWN_DIGITS else f"of more than {_SHOWN_DIGITS} digits"
-        raise ValueError(f"{what} {shown} exceeds the limit of {MAX_DEGREE} on Chebyshev degrees")
+        raise ValueError(f"{what} {shown_int(n)} exceeds the limit of {MAX_DEGREE} on Chebyshev degrees")
 
 
 @lru_cache(maxsize=None)

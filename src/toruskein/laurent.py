@@ -227,6 +227,17 @@ def quoted(value: object) -> str:
     return f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"
 
 
+_SHOWN_DIGITS = 60  # an error message describes a longer count by its length
+
+
+def shown_int(n: int) -> str:
+    """A count ``n >= 0`` in decimal for an error message, or ``"of more than
+    60 digits"`` once n >= 10**60.  One comparison decides, with no decimal
+    conversion, so a huge count gives a short message and never meets
+    Python's int-to-str limit."""
+    return str(n) if n < 10**_SHOWN_DIGITS else f"of more than {_SHOWN_DIGITS} digits"
+
+
 def _coerce(value: "LaurentPoly | int") -> LaurentPoly:
     if isinstance(value, LaurentPoly):
         return value

@@ -69,7 +69,7 @@ from functools import cache
 from operator import itemgetter
 from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
-from .laurent import DELTA, LaurentPoly
+from .laurent import DELTA, LaurentPoly, shown_int
 from .oriented import OrientedElement
 from .skein import Basis, SkeinElement, from_vec_maps
 from .torus_curves import EMPTY, UnorientedClass, Vec2, det2, split_signed
@@ -161,7 +161,7 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
         raise ValueError("parallel classes have no arrangement; det2 = 0")
     k = abs(d_full)
     if k > budget:
-        raise BudgetExceededError(f"{k} crossings exceed the budget of {budget}")
+        raise BudgetExceededError(f"crossing count {shown_int(k)} exceeds the budget of {budget}")
     n, pu = split_signed(u_vec)
     m, pv = split_signed(v_vec)
     (ux, uy), (vx, vy) = pu, pv
@@ -363,7 +363,12 @@ def _state_sum(arr: Arrangement, dump: IO[str] | None = None) -> dict[tuple, dic
 def _shortest_cut(u: Vec2, v: Vec2) -> Vec2:
     """A primitive c minimising |det2(c, u)| + |det2(c, v)|, by Gauss-Lagrange
     reduction of that norm (Kaib-Schnorr 1996).  The norm of b - mu*a is convex
-    and piecewise linear in mu, so the best integer step is next to a kink."""
+    and piecewise linear in mu, so the best integer step is next to a kink.
+
+    Starting from the shorter of (1,0) and (0,1) is a tie-break, not dead
+    code: without that first swap, about one pair in ten reduces to another
+    cut of the same norm, and so to another sweep order.  (1,-1), (0,1) gets
+    (0,1) with the swap and (-1,1) without it."""
     (ux, uy), (vx, vy) = u, v
     a, norm_a = (1, 0), abs(uy) + abs(vy)
     b, norm_b = (0, 1), abs(ux) + abs(vx)

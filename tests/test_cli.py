@@ -131,7 +131,7 @@ class TestOracleMul:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--budget", "3", "(3,0)", "(0,3)"], "9 crossings exceed the budget of 3"),
+            (["--budget", "3", "(3,0)", "(0,3)"], "crossing count 9 exceeds the budget of 3"),
             (["(17,0)", "(0,1)"], "17 crossings exceed the limit of 16 for listing states"),
         ],
         ids=["budget", "dump-limit"],
@@ -436,6 +436,17 @@ class TestVerify:
                 UnorientedClass((1, 0)), UnorientedClass((0, 1))
             )
 
+    def test_a_row_keeps_eight_failures_and_counts_every_case(self, capsys, monkeypatch):
+        # Every monomial is off by A, so each of the row's 81 pairs fails.
+        fast = verify.gamma_mul
+        monkeypatch.setattr(verify, "gamma_mul", lambda u, v: fast(u, v).map_coefficients(lambda c: c * A))
+        code, out, _ = invoke(capsys, "verify", "--json", "--max-coord", "1", "--max-det", "2")
+        assert code == 2
+        row = json.loads(out)[1]
+        assert (row["name"], row["cases"], len(row["failures"])) == (
+            "oriented monomial rule vs oriented oracle", 81, 8
+        )
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         broken = verify.SweepResult("stub", cases=1, failures=["counterexample"])
         monkeypatch.setattr(verify, "run_all", lambda **kw: [broken])
@@ -583,6 +594,15 @@ class TestErrors:
         code, out, err = invoke(capsys, *argv)
         assert (code, out, err) == (1, "", "error: the result has a number too long to print\n")
 
+    @pytest.mark.parametrize("digits", [40, 2200])
+    @pytest.mark.parametrize("verb", [["oracle-mul"], ["gamma-mul", "--oracle"]], ids=["oracle-mul", "gamma-mul"])
+    def test_long_crossing_count_is_refused_without_printing_it(self, capsys, verb, digits):
+        # det2((N,1), (1,N)) = N^2 - 1 has twice N's digits.
+        n = "7" * digits
+        code, out, err = invoke(capsys, *verb, f"({n},1)", f"(1,{n})")
+        assert (code, out) == (1, "")
+        assert err == "error: crossing count of more than 60 digits exceeds the budget of 24\n"
+
     @pytest.mark.parametrize(
         "verb, text, where",
         [
@@ -639,10 +659,44 @@ class TestErrors:
         assert "error: --budget must be at least 0" in err
 
 
+# One element in two term orders: a repeated key in the first, and the empty
+# class (the oriented (0,0)) first in one and last in the other.
+_STANDARD_X = ('{"basis":"standard","terms":[{"class":"empty","coeff":{"0":2}},{"class":[2,0],"coeff":{"1":1}},'
+               '{"class":[1,0],"coeff":{"-1":3}},{"class":[2,0],"coeff":{"0":-1}}]}')
+_STANDARD_Y = ('{"basis":"standard","terms":[{"class":[1,0],"coeff":{"-1":3}},{"class":[2,0],"coeff":{"0":-1,"1":1}},'
+               '{"class":"empty","coeff":{"0":2}}]}')
+_ORIENTED_X = ('{"terms":[{"gamma":[0,0],"coeff":{"0":2}},{"gamma":[1,-2],"coeff":{"1":1}},'
+               '{"gamma":[-1,2],"coeff":{"1":1}},{"gamma":[-3,0],"coeff":{"-2":1}},{"gamma":[3,0],"coeff":{"-2":1}}]}')
+_ORIENTED_Y = ('{"terms":[{"gamma":[3,0],"coeff":{"-2":1}},{"gamma":[-1,2],"coeff":{"1":1}},'
+               '{"gamma":[-3,0],"coeff":{"-2":1}},{"gamma":[1,-2],"coeff":{"1":1}},{"gamma":[0,0],"coeff":{"0":2}}]}')
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        # The contraction at 15 crossings, and at 12 with copies on both sides (3 over 4).
+        (["oracle-mul", "(2,-1)", "(3,6)"], ["mul", "(2,-1)", "(3,6)"]),
+        (["oracle-mul", "(3,-6)", "(0,4)"], ["mul", "(3,-6)", "(0,4)"]),
+        # The oriented oracle without crossings.
+        (["gamma-mul", "--oracle", "(2,0)", "(-3,0)"], ["gamma-mul", "(2,0)", "(-3,0)"]),
+        (["convert", "--to", "chebyshev", _STANDARD_X], ["convert", "--to", "chebyshev", _STANDARD_Y]),
+        (["psi", "--json", _STANDARD_X], ["psi", "--json", _STANDARD_Y]),
+        (["psi-inv", _ORIENTED_X], ["psi-inv", _ORIENTED_Y]),
+    ],
+    ids=["oracle-k15", "oracle-k12", "gamma-oracle-parallel", "convert-term-order", "psi-term-order",
+         "psi-inv-term-order"],
+)
+def test_two_argvs_print_the_same(capsys, first, second):
+    printed = invoke(capsys, *first)[:2]
+    assert printed[0] == 0 and printed[1]
+    assert invoke(capsys, *second)[:2] == printed
+
+
 class TestOneProcess:
     def test_successive_runs_match_separate_processes(self, capsys):
         # run builds its parser once per process; no run may see an earlier
-        # one's verb, flags or usage error.
+        # one's verb, flags or usage error.  The separate processes treat
+        # warnings as errors, as the suite does.
         argvs = [
             ["mul", "--basis", "chebyshev", "(1,0)", "(0,1)"],
             ["mul", "--basis", "nope", "(1,0)", "(0,1)"],
@@ -655,7 +709,8 @@ class TestOneProcess:
         separate = []
         for argv in argvs:
             done = subprocess.run(
-                [sys.executable, "-m", "toruskein", *argv], capture_output=True, text=True, env=env, timeout=60
+                [sys.executable, "-W", "error", "-m", "toruskein", *argv],
+                capture_output=True, text=True, env=env, timeout=60,
             )
             separate.append((done.returncode, done.stdout))
         assert in_process == separate

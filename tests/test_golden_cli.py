@@ -2,9 +2,10 @@
 
 ``golden_cli.json`` holds the exact stdout and exit code of every verb, in
 text and ``--json`` form, over a fixed set of inputs: the empty class,
-multiplicity > 1, both bases, an asymmetric ``psi-inv`` and a small
-``verify``.  Any refactor must leave every entry unchanged.  Regenerate the
-file only for an intended output change:
+multiplicity > 1, both bases, an asymmetric ``psi-inv`` and three ``verify``
+sweeps (a small one, the default one and the benchmark's
+``--max-coord 2 --max-det 8``).  Any refactor must leave every entry
+unchanged.  Regenerate the file only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -63,6 +64,8 @@ _BASE_CASES = [
     ["bracket", "--pd", "O"],
     ["bracket", "--pd", "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"],
     ["verify", "--max-coord", "1", "--max-det", "2"],
+    ["verify"],
+    ["verify", "--max-coord", "2", "--max-det", "8"],
 ]
 CASES = [argv + extra for argv in _BASE_CASES for extra in ([], ["--json"])]
 

@@ -154,7 +154,7 @@ class TestBuildArrangement:
             build_arrangement((1, 1), (2, 2))
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError, match="^25 crossings exceed the budget of 24$"):
+        with pytest.raises(BudgetExceededError, match="^crossing count 25 exceeds the budget of 24$"):
             build_arrangement((5, 0), (0, 5), budget=24)
         assert build_arrangement((5, 0), (0, 5), budget=25).crossing_count == 25
 
@@ -486,6 +486,12 @@ class TestShortestCut:
             bound = max(map(abs, u + v)) * min(norm((1, 0)), norm((0, 1))) // abs(det2(u, v))
             box = [(x, y) for x in range(-bound, bound + 1) for y in range(-bound, bound + 1)]
             assert norm(cut) == min(norm(c) for c in box if c != (0, 0)), (u, v)
+
+    def test_ties_go_to_the_shorter_starting_vector(self):
+        # (0,1) and (-1,1) both have norm 1; starting from (0,1), the shorter
+        # of (1,0) and (0,1), the reduction stops at once.  The cut fixes the
+        # sweep order, so this pins the order too.
+        assert smoothing_oracle._shortest_cut((1, -1), (0, 1)) == (0, 1)
 
     def test_points_are_offsets_from_crossing_zero(self):
         arr = build_arrangement((1, 2), (2, 1))
