@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .laurent import LaurentPoly, quoted
+from .laurent import LaurentPoly, check_bound, quoted
 from .smoothing_oracle import BudgetExceededError, DEFAULT_BUDGET, contract
 
 Crossing = tuple[int, int, int, int]
@@ -50,8 +50,7 @@ class PDCode:
     free_loops: int = 0
 
     def __post_init__(self) -> None:
-        if self.free_loops < 0:
-            raise ValueError("free_loops must be >= 0")
+        check_bound("free_loops", self.free_loops, low=0)
         canon = []
         counts: dict[int, int] = {}
         for t in self.crossings:
@@ -62,7 +61,7 @@ class PDCode:
                 counts[e] = counts.get(e, 0) + 1
         bad = sorted(e for e, c in counts.items() if c != 2)
         if bad:
-            raise ValueError(f"edge labels must occur exactly twice; bad labels: {bad}")
+            raise ValueError(f"edge labels must occur exactly twice; bad labels: {quoted(bad)}")
         object.__setattr__(self, "crossings", tuple(canon))
 
     @property
@@ -136,9 +135,8 @@ def kauffman_bracket(pd: PDCode, budget: int = DEFAULT_BUDGET) -> LaurentPoly:
     of ways to join the frontier, not 2^k.  Free loops count against the
     budget as crossings do: each multiplies the value by delta."""
     k = pd.crossing_count
-    if k + pd.free_loops > budget:
-        loops = f" and {pd.free_loops} free loop{'s' * (pd.free_loops > 1)}" if pd.free_loops else ""
-        raise BudgetExceededError(f"{k} crossings{loops} exceed the budget of {budget}")
+    what = "crossing and free loop count" if pd.free_loops else "crossing count"
+    check_bound(what, k + pd.free_loops, limit=budget, limit_name="budget", error=BudgetExceededError)
     # Port 4i+s is slot s of crossing i; its arc leads to its label's other port.
     labels = [e for t in pd.crossings for e in t]
     last = {e: p for p, e in enumerate(labels)}

@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import comb
 from operator import sub
 
-from .laurent import shown_int
+from .laurent import check_bound
 
 IntPoly = tuple[int, ...]  # coefficients, index = power of the indeterminate
 
@@ -20,14 +20,6 @@ IntPoly = tuple[int, ...]  # coefficients, index = power of the indeterminate
 # cost O(n^2) bigint work and stay in the cache (about 25 MiB at this limit),
 # so larger degrees are refused before any work starts.
 MAX_DEGREE = 1024
-
-
-def check_degree(n: int, what: str) -> None:
-    """Refuse a negative degree or one above MAX_DEGREE with ValueError."""
-    if n < 0:
-        raise ValueError(f"{what} must be >= 0")
-    if n > MAX_DEGREE:
-        raise ValueError(f"{what} {shown_int(n)} exceeds the limit of {MAX_DEGREE} on Chebyshev degrees")
 
 
 @lru_cache(maxsize=None)
@@ -40,7 +32,7 @@ def chebyshev_t(n: int) -> IntPoly:
     under the cache size up: no call nests more than two deep, a cold T_n
     costs O(n^2) and each new degree O(n).
     """
-    check_degree(n, "Chebyshev index")
+    check_bound("Chebyshev index", n, low=0, limit=MAX_DEGREE, limit_name="Chebyshev degree limit")
     if n < 2:
         return ((2,), (0, 1))[n]
     for k in range(max(2, _t_cache_info().currsize - 1), n - 1):
@@ -59,7 +51,7 @@ def power_to_chebyshev(n: int) -> dict[int, int]:
     x^k + x^-k gives c[k] = C(n, (n-k)/2) for k >= 1 with k = n (mod 2), and
     c[0] = C(n, n/2) for even n (the unpaired middle term, counted against 1).
     """
-    check_degree(n, "power")
+    check_bound("power", n, low=0, limit=MAX_DEGREE, limit_name="Chebyshev degree limit")
     out: dict[int, int] = {}
     for k in range(n, 0, -2):
         out[k] = comb(n, (n - k) // 2)

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from . import verify as verify_mod
 from .bracket_planar import PDCode, kauffman_bracket
-from .laurent import quoted
+from .laurent import check_bound, quoted
 from .oriented import OrientedElement, gamma_mul, psi, psi_inverse
 from .skein import Basis, SkeinElement, chebyshev_generator
 from .smoothing_oracle import (
@@ -164,8 +164,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "budget", 0) < 0:
-            raise _UsageError(f"--budget must be at least 0, got {args.budget}")
+        check_bound("--budget", getattr(args, "budget", 0), low=0)
         command = args.command
 
         if command == "mul":

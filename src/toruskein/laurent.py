@@ -21,6 +21,9 @@ the fast algebra.  Sums of whole coefficients (basis changes, psi, merging
 equal keys) go through ``accumulate``, which keeps a coefficient that lands
 once, unscaled, as the same object and copies it only when a second one
 lands on its key.
+
+Every resource bound (crossing budgets, the dump limit, verify's coordinate
+limit, Chebyshev degrees) is refused by one helper, ``check_bound``.
 """
 
 from __future__ import annotations
@@ -227,15 +230,29 @@ def quoted(value: object) -> str:
     return f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"
 
 
-_SHOWN_DIGITS = 60  # an error message describes a longer count by its length
+_SHOWN_DIGITS = 60  # an error message describes a longer number by its size
 
 
 def shown_int(n: int) -> str:
-    """A count ``n >= 0`` in decimal for an error message, or ``"of more than
-    60 digits"`` once n >= 10**60.  One comparison decides, with no decimal
-    conversion, so a huge count gives a short message and never meets
+    """``n`` in decimal for an error message, or ``"10^60 or more"`` /
+    ``"-10^60 or less"`` past 60 digits.  Comparisons decide, with no decimal
+    conversion, so a huge number gives a short message and never meets
     Python's int-to-str limit."""
-    return str(n) if n < 10**_SHOWN_DIGITS else f"of more than {_SHOWN_DIGITS} digits"
+    if abs(n) < 10**_SHOWN_DIGITS:
+        return str(n)
+    return f"10^{_SHOWN_DIGITS} or more" if n > 0 else f"-10^{_SHOWN_DIGITS} or less"
+
+
+def check_bound(what: str, n: int, low: int | None = None, limit: int | None = None,
+                limit_name: str = "limit", error: type[Exception] = ValueError) -> None:
+    """Refuse a count ``n`` below ``low`` or above ``limit`` by raising
+    ``error``: ``{what} must be at least {low}, got {n}`` or ``{what} {n}
+    exceeds the {limit_name} of {limit}``, every number through ``shown_int``.
+    The package's one check of a resource bound, made before any work."""
+    if low is not None and n < low:
+        raise error(f"{what} must be at least {shown_int(low)}, got {shown_int(n)}")
+    if limit is not None and n > limit:
+        raise error(f"{what} {shown_int(n)} exceeds the {limit_name} of {shown_int(limit)}")
 
 
 def _coerce(value: "LaurentPoly | int") -> LaurentPoly:

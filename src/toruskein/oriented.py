@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .laurent import ONE, LaurentPoly, add_product
+from .laurent import ONE, LaurentPoly, add_product, quoted
 from .skein import Basis, BasisMismatchError, SkeinElement, TermMap, finish_terms, format_terms
 from .torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize, det2, vec_from_json
 
@@ -28,7 +28,7 @@ class AsymmetricElementError(ValueError):
 
     def __init__(self, witness: Vec2):
         super().__init__(
-            f"element is not orientation-symmetric: coefficient at {witness} "
+            f"element is not orientation-symmetric: coefficient at {quoted(witness)} "
             f"differs from its mirror"
         )
         self.witness = witness

@@ -37,7 +37,7 @@ from operator import itemgetter
 
 from . import chebyshev
 from .laurent import (
-    ONE, ZERO, LaurentPoly, accumulate, add_product, join_signed, quoted, signed_monomial,
+    ONE, ZERO, LaurentPoly, accumulate, add_product, check_bound, join_signed, quoted, signed_monomial,
     wrap_nonzero,
 )
 from .torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize
@@ -214,7 +214,7 @@ class SkeinElement(TermMap):
         if self._chebyshev is not None:
             return self._chebyshev
         for key, _ in self._terms:
-            chebyshev.check_degree(key.multiplicity, "multiplicity")
+            check_bound("multiplicity", key.multiplicity, limit=chebyshev.MAX_DEGREE, limit_name="Chebyshev degree limit")
         return self._expand(Basis.CHEBYSHEV, lambda n: chebyshev.power_to_chebyshev(n).items())
 
     def to_standard(self) -> "SkeinElement":
@@ -222,7 +222,7 @@ class SkeinElement(TermMap):
         if self.basis != Basis.CHEBYSHEV:
             raise BasisMismatchError("to_standard expects a Chebyshev-basis element")
         for key, _ in self._terms:
-            chebyshev.check_degree(key.multiplicity, "Chebyshev index")
+            check_bound("Chebyshev index", key.multiplicity, limit=chebyshev.MAX_DEGREE, limit_name="Chebyshev degree limit")
         out = self._expand(Basis.STANDARD, lambda n: enumerate(chebyshev.chebyshev_t(n)))
         object.__setattr__(out, "_chebyshev", self)
         return out

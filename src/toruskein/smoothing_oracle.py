@@ -69,18 +69,18 @@ from functools import cache
 from operator import itemgetter
 from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
-from .laurent import DELTA, LaurentPoly, shown_int
+from .laurent import LaurentPoly, check_bound
 from .oriented import OrientedElement
 from .skein import Basis, SkeinElement, from_vec_maps
 from .torus_curves import EMPTY, UnorientedClass, Vec2, det2, split_signed
 
 DEFAULT_BUDGET = 24
 DUMP_LIMIT = 16  # most crossings the brute-force state sum (a dump) takes: 2^k states
-# delta^n as (exponent, coefficient) pairs, the weights both state sums add: a crossing
-# closes at most two circles, a state of k crossings at most k (one per over-strand out-port).
-_DELTA_POWERS: tuple[tuple[tuple[int, int], ...], ...] = (((0, 1),),)
-while len(_DELTA_POWERS) <= DUMP_LIMIT:
-    _DELTA_POWERS += ((LaurentPoly(_DELTA_POWERS[-1]) * DELTA).terms(),)
+# delta^n = (-1)^n sum_j C(n, j) A^(2n-4j) as (exponent, coefficient) pairs, from ints, not add_product:
+# the weights both state sums add.  A crossing closes at most two circles, a state of k crossings at
+# most k (one per over-strand out-port).
+_DELTA_POWERS = tuple(tuple((2 * n - 4 * j, (-1) ** n * math.comb(n, j)) for j in range(n, -1, -1))
+                      for n in range(DUMP_LIMIT + 1))
 
 # Port roles within a crossing: over-strand in/out, under-strand in/out.
 U_IN, U_OUT, V_IN, V_OUT = 0, 1, 2, 3
@@ -160,8 +160,7 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
     if d_full == 0:
         raise ValueError("parallel classes have no arrangement; det2 = 0")
     k = abs(d_full)
-    if k > budget:
-        raise BudgetExceededError(f"crossing count {shown_int(k)} exceeds the budget of {budget}")
+    check_bound("crossing count", k, limit=budget, limit_name="budget", error=BudgetExceededError)
     n, pu = split_signed(u_vec)
     m, pv = split_signed(v_vec)
     (ux, uy), (vx, vy) = pu, pv
@@ -342,11 +341,9 @@ def _class(count: int, direction: Vec2 | None) -> UnorientedClass:
 
 def _state_sum(arr: Arrangement, dump: IO[str] | None = None) -> dict[tuple, dict[int, int]]:
     """Brute force: trace each of the 2^k states, optionally listing them;
-    keyed as ``contract`` keys its result.  Past ``DUMP_LIMIT`` crossings it
-    raises BudgetExceededError before it traces any state."""
+    keyed as ``contract`` keys its result.  Takes at most ``DUMP_LIMIT``
+    crossings, which ``unoriented_product`` checks before it builds ``arr``."""
     k = arr.crossing_count
-    if k > DUMP_LIMIT:
-        raise BudgetExceededError(f"{k} crossings exceed the limit of {DUMP_LIMIT} for listing states")
     acc: dict[tuple, dict[int, int]] = {}
     for mask in range(1 << k):
         exponent = k - 2 * bin(mask).count("1")
@@ -562,12 +559,12 @@ def unoriented_product(
     The result is a standard-basis skein element.  The state sum is
     contracted crossing by crossing; a ``dump`` lists every state, so it
     takes the brute-force enumeration instead and at most ``DUMP_LIMIT``
-    crossings.  ``workers`` has no effect: the contraction runs in one
-    process, and the parameter stays only because existing callers (the
-    benchmark scripts among them) still pass it.  Empty and parallel classes
-    (det 0) take the crossing-free route: their primitives necessarily agree
-    on the torus, and the product is the merged multicurve with added
-    multiplicity; its one state is listed with the mask 0.
+    crossings, checked before the arrangement is built.  ``workers`` has no
+    effect: the contraction runs in one process, and the parameter stays only
+    because existing callers (the benchmark scripts among them) still pass it.
+    Empty and parallel classes (det 0) take the crossing-free route: their
+    primitives necessarily agree on the torus, and the product is the merged
+    multicurve with added multiplicity; its one state is listed with the mask 0.
     """
     if x.is_empty or y.is_empty or det2(x.vec, y.vec) == 0:
         merged = y if x.is_empty else x
@@ -577,6 +574,9 @@ def unoriented_product(
             dump.write(f"0 0 0 {merged}\n")  # the listing's one line, as _state_sum writes it
         return SkeinElement.generator(merged, Basis.STANDARD)
 
+    if dump is not None:
+        k = abs(det2(x.vec, y.vec))
+        check_bound("crossing count", k, limit=DUMP_LIMIT, limit_name="dump limit", error=BudgetExceededError)
     arr = build_arrangement(x.vec, y.vec, budget=budget)
     states = _contracted_sum(arr) if dump is None else _state_sum(arr, dump)  # one bucket per class
     return from_vec_maps(Basis.STANDARD, {

@@ -1,8 +1,9 @@
 """Exhaustive desk-scale sweeps pitting the fast paths against the oracle.
 
 Each sweep returns a SweepResult with the number of cases checked and any
-counterexamples found (as printable strings).  These functions back both the
-``verify`` CLI subcommand and the acceptance test suite.
+counterexamples found (as printable strings), and gives the oracle the budget
+max_det, which bounds |det2| of every pair it lists.  These functions back both
+the ``verify`` CLI subcommand and the acceptance test suite.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import smoothing_oracle as oracle
+from .laurent import check_bound
 from .oriented import gamma_mul, psi
 from .skein import Basis, SkeinElement
 from .torus_curves import UnorientedClass, det2, is_half_plane
@@ -51,21 +53,19 @@ def class_pairs(max_coord: int, max_det: int) -> list[tuple[UnorientedClass, Uno
     return [(x, y) for x in classes for y in classes if abs(det2(x.vec, y.vec)) <= max_det]
 
 
-def fg_vs_oracle_sweep(max_coord: int, max_det: int, budget: int = oracle.DEFAULT_BUDGET) -> SweepResult:
+def fg_vs_oracle_sweep(max_coord: int, max_det: int) -> SweepResult:
     """Fast product-to-sum multiplication against the smoothing state sum."""
     result = SweepResult("product-to-sum vs smoothing oracle")
     for x, y in class_pairs(max_coord, max_det):
         result.cases += 1
         fast = SkeinElement.generator(x, Basis.STANDARD) * SkeinElement.generator(y, Basis.STANDARD)
-        slow = oracle.unoriented_product(x, y, budget=budget)
+        slow = oracle.unoriented_product(x, y, budget=max_det)
         if fast != slow:
             result.fail(f"{x} * {y}: fast = {fast}; oracle = {slow}")
     return result
 
 
-def oriented_monomial_sweep(
-    max_coord: int, max_det: int, budget: int = oracle.DEFAULT_BUDGET
-) -> tuple[SweepResult, int]:
+def oriented_monomial_sweep(max_coord: int, max_det: int) -> tuple[SweepResult, int]:
     """Monomial rule vs the oriented oracle, over every ordered vector pair.
 
     Also returns the sum over the sweep of the A-exponents of the oracle's
@@ -86,14 +86,14 @@ def oriented_monomial_sweep(
                 continue
             result.cases += 1
             fast = gamma_mul(u, v)
-            slow = oracle.oriented_product_with_ledger(u, v, budget=budget)
+            slow = oracle.oriented_product_with_ledger(u, v, budget=max_det)
             if fast != slow:
                 result.fail(f"gamma{u} * gamma{v}: fast = {fast}; oracle = {slow}")
             total_exponent += sum(exp for _gamma, coeff in slow.terms() for exp in coeff._terms)
     return result, total_exponent
 
 
-def psi_homomorphism_sweep(max_coord: int, max_det: int, budget: int = oracle.DEFAULT_BUDGET) -> SweepResult:
+def psi_homomorphism_sweep(max_coord: int, max_det: int) -> SweepResult:
     """psi(oracle product) against the product of images in the oriented algebra."""
     result = SweepResult("psi homomorphism vs oracle")
     pairs = class_pairs(max_coord, max_det)
@@ -101,7 +101,7 @@ def psi_homomorphism_sweep(max_coord: int, max_det: int, budget: int = oracle.DE
     images = {x: psi(SkeinElement.generator(x, Basis.STANDARD)) for x, y in pairs if x == y}
     for x, y in pairs:
         result.cases += 1
-        via_skein = psi(oracle.unoriented_product(x, y, budget=budget))
+        via_skein = psi(oracle.unoriented_product(x, y, budget=max_det))
         via_oriented = images[x] * images[y]
         if via_skein != via_oriented:
             result.fail(f"psi({x} * {y}) != psi({x}) psi({y})")
@@ -126,20 +126,13 @@ MAX_COORD = 16  # the sweeps visit pairs of up to (2*MAX_COORD + 1)^2 classes
 
 
 def run_all(max_coord: int = 3, max_det: int = 10, budget: int = oracle.DEFAULT_BUDGET) -> list[SweepResult]:
-    # Checked before any class is listed; a negative bound, or a zero
-    # coordinate bound, would leave sweeps with no case.
-    for name, bound in ("max_coord", max_coord), ("max_det", max_det):
-        if bound < 0:
-            raise ValueError(f"{name} must be at least 0, got {bound}")
-        if bound == 0 and name == "max_coord":
-            raise ValueError("max_coord must be at least 1: at 0 no class is swept")
-    if max_coord > MAX_COORD:
-        raise ValueError(f"max coordinate {max_coord} exceeds the limit of {MAX_COORD}")
+    # Checked before any class is listed: at max_coord 0 no class is swept.
+    check_bound("max_coord", max_coord, low=1, limit=MAX_COORD)
+    check_bound("max_det", max_det, low=0)
     # The oriented sweep's vectors are these classes up to sign, so no pair reaches more crossings.
     largest = max(abs(det2(x.vec, y.vec)) for x, y in class_pairs(max_coord, max_det))
-    if largest > budget:
-        raise ValueError(f"the sweeps reach {largest} crossings, over the budget of {budget}")
-    monomial, total_exp = oriented_monomial_sweep(max_coord, max_det, budget)
+    check_bound("largest swept crossing count", largest, limit=budget, limit_name="budget")
+    monomial, total_exp = oriented_monomial_sweep(max_coord, max_det)
     grading = SweepResult("aggregate Gauss grading over the oriented sweep", cases=monomial.cases)
     if total_exp != 0:
         grading.fail(
@@ -147,9 +140,9 @@ def run_all(max_coord: int = 3, max_det: int = 10, budget: int = oracle.DEFAULT_
             "(an error antisymmetric in (u, v) would still pass)"
         )
     return [
-        fg_vs_oracle_sweep(max_coord, max_det, budget),
+        fg_vs_oracle_sweep(max_coord, max_det),
         monomial,
         grading,
-        psi_homomorphism_sweep(max_coord, max_det, budget),
+        psi_homomorphism_sweep(max_coord, max_det),
         swap_symmetry_sweep(max_coord, max_det),
     ]

@@ -155,11 +155,11 @@ def test_budget_guard():
 
 
 def test_free_loops_count_against_the_budget():
-    with pytest.raises(BudgetExceededError, match="^2 crossings and 23 free loops exceed the budget of 24$"):
+    with pytest.raises(BudgetExceededError, match="^crossing and free loop count 25 exceeds the budget of 24$"):
         kauffman_bracket(PDCode(HOPF_LINK.crossings, 23))
     assert kauffman_bracket(PDCode(HOPF_LINK.crossings, 22)) == kauffman_bracket(HOPF_LINK) * DELTA**22
     # A code without free loops keeps the crossings-only message.
-    with pytest.raises(BudgetExceededError, match="^3 crossings exceed the budget of 2$"):
+    with pytest.raises(BudgetExceededError, match="^crossing count 3 exceeds the budget of 2$"):
         kauffman_bracket(TREFOIL, budget=2)
 
 

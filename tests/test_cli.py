@@ -18,6 +18,9 @@ from toruskein.skein import Basis, SkeinElement
 from toruskein.torus_curves import UnorientedClass
 
 
+_N, _M = "9" * 4000, "7" * 2100  # det2((M,1), (1,M)) = M^2 - 1 has more digits than N
+
+
 def _standard(vec):
     return SkeinElement.generator(UnorientedClass(vec), Basis.STANDARD)
 
@@ -60,7 +63,7 @@ class TestBracket:
 
         loops = " ".join(["O"] * 25)
         code, out, err = invoke(capsys, "bracket", "--pd", loops)
-        assert (code, out, err) == (1, "", "error: 0 crossings and 25 free loops exceed the budget of 24\n")
+        assert (code, out, err) == (1, "", "error: crossing and free loop count 25 exceeds the budget of 24\n")
         code, out, _ = invoke(capsys, "bracket", "--budget", "25", "--pd", loops)
         assert code == 0 and LaurentPoly.parse(out) == LaurentPoly.delta() ** 25
 
@@ -132,7 +135,7 @@ class TestOracleMul:
         "argv, message",
         [
             (["--budget", "3", "(3,0)", "(0,3)"], "crossing count 9 exceeds the budget of 3"),
-            (["(17,0)", "(0,1)"], "17 crossings exceed the limit of 16 for listing states"),
+            (["(17,0)", "(0,1)"], "crossing count 17 exceeds the dump limit of 16"),
         ],
         ids=["budget", "dump-limit"],
     )
@@ -144,6 +147,14 @@ class TestOracleMul:
         assert (code, out) == (1, "") and message in err
         assert dump.read_text() == "kept\n"
         assert time.process_time() - start < 1.0
+
+    def test_refused_dump_builds_no_arrangement(self, capsys, tmp_path, monkeypatch):
+        # 999999 crossings: building the arrangement alone would take seconds and over 1 GiB.
+        monkeypatch.setattr(smoothing_oracle, "build_arrangement", lambda *_, **__: pytest.fail("built"))
+        argv = ["--budget", "2000000", "--dump-states", str(tmp_path / "states.txt"), "(1000,1)", "(1,1000)"]
+        code, out, err = invoke(capsys, "oracle-mul", *argv)
+        assert (code, out, err) == (1, "", "error: crossing count 999999 exceeds the dump limit of 16\n")
+        assert not (tmp_path / "states.txt").exists()
 
     def test_empty_dump_path_is_refused(self, capsys):
         # An empty path is a path, not "no dump": open refuses it.
@@ -293,20 +304,31 @@ class TestVerify:
         report = json.loads(out)
         assert all(r["failures"] == [] for r in report)
 
-    def test_coordinate_bound_is_checked_first(self, capsys):
+    def test_coordinate_bound_is_checked_first(self, capsys, monkeypatch):
         start = time.process_time()
         code, out, err = invoke(capsys, "verify", "--max-coord", str(verify.MAX_COORD + 1))
         assert (code, out) == (1, "")
-        assert err == f"error: max coordinate {verify.MAX_COORD + 1} exceeds the limit of {verify.MAX_COORD}\n"
+        assert err == f"error: max_coord {verify.MAX_COORD + 1} exceeds the limit of {verify.MAX_COORD}\n"
         assert time.process_time() - start < 1.0
+        # The limit itself is admitted: listing the classes is the first work after the checks.
+        class Listed(Exception):
+            pass
+
+        def class_pairs(*args):
+            raise Listed
+
+        monkeypatch.setattr(verify, "class_pairs", class_pairs)
+        with pytest.raises(Listed):
+            verify.run_all(max_coord=verify.MAX_COORD)
 
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--max-coord", "-1"], "max_coord must be at least 0, got -1"),
+            (["--max-coord", "-1"], "max_coord must be at least 1, got -1"),
             (["--max-det", "-5"], "max_det must be at least 0, got -5"),
+            (["--max-det", "-1"], "max_det must be at least 0, got -1"),
         ],
-        ids=["max-coord", "max-det"],
+        ids=["max-coord", "max-det", "max-det-edge"],
     )
     def test_negative_bound_is_rejected(self, capsys, argv, message):
         # A negative bound lists no case, so it must not report "ok ... 0 cases".
@@ -316,11 +338,8 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--max-coord", "0"], "max_coord must be at least 1: at 0 no class is swept"),
-            (
-                ["--max-coord", "0", "--max-det", "0"],
-                "max_coord must be at least 1: at 0 no class is swept",
-            ),
+            (["--max-coord", "0"], "max_coord must be at least 1, got 0"),
+            (["--max-coord", "0", "--max-det", "0"], "max_coord must be at least 1, got 0"),
         ],
         ids=["max-coord", "all"],
     )
@@ -340,7 +359,7 @@ class TestVerify:
         # |det2((4,4), (-3,4))| = 28 is the largest det up to 30 at coordinate 4.
         code, out, err = invoke(capsys, "verify", "--max-coord", "4", "--max-det", "30")
         assert (code, out) == (1, "")
-        assert err == "error: the sweeps reach 28 crossings, over the budget of 24\n"
+        assert err == "error: largest swept crossing count 28 exceeds the budget of 24\n"
 
     @pytest.mark.parametrize("max_coord", range(1, 6))
     def test_crossing_budget_names_the_largest_swept_det(self, max_coord, no_arrangement):
@@ -352,7 +371,7 @@ class TestVerify:
             largest = max(d for d in dets if d <= max_det)
             with pytest.raises(ValueError) as info:
                 verify.run_all(max_coord=max_coord, max_det=max_det, budget=largest - 1)
-            assert str(info.value) == f"the sweeps reach {largest} crossings, over the budget of {largest - 1}"
+            assert str(info.value) == f"largest swept crossing count {largest} exceeds the budget of {largest - 1}"
 
     def test_crossing_budget_admits_the_largest_reachable_det(self, capsys):
         # At coordinate 2 no pair has more than 8 crossings, whatever --max-det says.
@@ -476,7 +495,7 @@ class TestErrors:
         assert err.startswith("error:") and "limit" in err
 
     def test_psi_and_conversion_share_one_refusal(self, capsys):
-        message = "error: multiplicity 6000 exceeds the limit of 1024 on Chebyshev degrees\n"
+        message = "error: multiplicity 6000 exceeds the Chebyshev degree limit of 1024\n"
         for argv in (["psi", "(6000,0)"], ["convert", "--to", "chebyshev", "(6000,0)"]):
             assert invoke(capsys, *argv) == (1, "", message)
 
@@ -484,7 +503,7 @@ class TestErrors:
         start = time.process_time()
         code, out, err = invoke(capsys, "mul", "(1024,0)", "(2,0)")
         assert (code, out) == (1, "")
-        assert err == "error: Chebyshev index 1026 exceeds the limit of 1024 on Chebyshev degrees\n"
+        assert err == "error: Chebyshev index 1026 exceeds the Chebyshev degree limit of 1024\n"
         assert time.process_time() - start < 1.0
 
     @pytest.mark.parametrize(
@@ -493,7 +512,7 @@ class TestErrors:
         ids=["index-of-3001-digits", "index-of-4301-digits"],
     )
     def test_long_degree_is_refused_without_printing_it(self, capsys, x, y):
-        message = "error: Chebyshev index of more than 60 digits exceeds the limit of 1024 on Chebyshev degrees\n"
+        message = "error: Chebyshev index 10^60 or more exceeds the Chebyshev degree limit of 1024\n"
         assert invoke(capsys, "mul", x, y) == (1, "", message)
 
     def test_degree_limit_is_checked_before_the_expansion(self, capsys):
@@ -501,7 +520,7 @@ class TestErrors:
                                                {"class": [1025, 0], "coeff": {"0": 1}}]}
         code, out, err = invoke(capsys, "convert", "--to", "standard", json.dumps(big))
         assert (code, out) == (1, "")
-        assert "Chebyshev index 1025 exceeds the limit of 1024" in err
+        assert "Chebyshev index 1025 exceeds the Chebyshev degree limit of 1024" in err
 
     def test_large_degrees_below_the_limit_are_cheap(self, capsys):
         chebyshev.chebyshev_t.cache_clear()  # T_0 .. T_1002 from cold
@@ -601,7 +620,7 @@ class TestErrors:
         n = "7" * digits
         code, out, err = invoke(capsys, *verb, f"({n},1)", f"(1,{n})")
         assert (code, out) == (1, "")
-        assert err == "error: crossing count of more than 60 digits exceeds the budget of 24\n"
+        assert err == "error: crossing count 10^60 or more exceeds the budget of 24\n"
 
     @pytest.mark.parametrize(
         "verb, text, where",
@@ -657,6 +676,35 @@ class TestErrors:
         code, out, err = invoke(capsys, *argv)
         assert code == 1 and out == ""
         assert "error: --budget must be at least 0" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle-mul", "--budget", _N, f"({_M},1)", f"(1,{_M})"],
+            ["oracle-mul", "--budget", f"-{_N}", "(1,0)", "(0,1)"],
+            ["gamma-mul", "--oracle", "--budget", _N, f"({_M},1)", f"(1,{_M})"],
+            ["gamma-mul", "--oracle", "--budget", f"-{_N}", "(1,0)", "(0,1)"],
+            ["bracket", "--budget", _N, "--pd", f"X({_N},1,1,2)"],
+            ["bracket", "--budget", f"-{_N}", "--pd", "O"],
+            ["verify", "--budget", _N, "--max-coord", "17"],
+            ["verify", "--budget", f"-{_N}"],
+            ["verify", "--max-coord", _N],
+            ["verify", "--max-coord", f"-{_N}"],
+            ["verify", "--max-det", _N, "--budget", "0"],
+            ["verify", "--max-det", f"-{_N}"],
+            ["psi-inv", json.dumps({"terms": [{"gamma": [int(_N), 0], "coeff": {"0": 1}}]})],
+            ["bracket", "--pd", " ".join(f"X({4 * i + 1},{4 * i + 2},{4 * i + 3},{4 * i + 4})" for i in range(5000))],
+        ],
+        ids=["oracle-mul+N", "oracle-mul-N", "gamma-mul+N", "gamma-mul-N", "bracket+N", "bracket-N",
+             "verify-budget+N", "verify-budget-N", "max-coord+N", "max-coord-N", "max-det+N", "max-det-N",
+             "psi-inv-long-key", "bracket-5000-bad-crossings"],
+    )
+    def test_refused_numbers_stay_short(self, capsys, argv):
+        # N has 4000 digits, under Python's int-to-str limit, so only the messages decide.
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.encode()) < 200 and "set_int_max_str_digits" not in err
 
 
 # One element in two term orders: a repeated key in the first, and the empty

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from references import BOUNDED, TOO_LONG, coeffs, needs_digit_limit, shifted
 
-from toruskein.laurent import A, DELTA, ONE, ZERO, LaurentPoly, ParseError
+from toruskein.laurent import A, DELTA, ONE, ZERO, LaurentPoly, ParseError, shown_int
 
 
 def mono(c, e):
@@ -184,6 +184,14 @@ def test_mirror_and_shift():
 def test_pow_rejects_negative():
     with pytest.raises(ValueError):
         A ** -1
+
+
+@pytest.mark.parametrize(
+    "n, shown",
+    [(10**60 - 1, "9" * 60), (10**60, "10^60 or more"), (1 - 10**60, "-" + "9" * 60), (-(10**60), "-10^60 or less")],
+)
+def test_shown_int_names_a_number_past_60_digits_by_its_bound(n, shown):
+    assert shown_int(n) == shown
 
 
 def test_hash_consistency():

@@ -1,17 +1,21 @@
 """The smoothing oracle certifies the product-to-sum path, so it must not
 compute with that path's arithmetic.  This reads the oracle's source and
 fails if it imports from the Chebyshev module or names the fast product's
-kernels.  It also reads every module of the package and fails if one
+kernels, and imports and runs the oracle with ``laurent.add_product``
+disabled.  It also reads every module of the package and fails if one
 imports anything outside the standard library and the package itself, and
 reads the planar bracket's source to check that it runs on the oracle's
 contraction kernel rather than a state loop of its own."""
 
 import ast
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import toruskein
 from toruskein import bracket_planar, smoothing_oracle
+from toruskein.torus_curves import UnorientedClass
 
 # The fast product's kernels and the accumulation loops it runs on; the oracle
 # adds its own state weights.
@@ -48,6 +52,35 @@ def _names(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.alias):
             names.update({node.name, node.asname} - {None})
     return names
+
+
+def test_oracle_runs_with_add_product_disabled():
+    # The package's modules load without its __init__, with laurent.add_product
+    # replaced before the oracle (and the modules it imports) is imported.
+    script = textwrap.dedent("""
+        import sys, types
+        package = types.ModuleType("toruskein")
+        package.__path__ = [sys.argv[1]]
+        sys.modules["toruskein"] = package
+        from toruskein import laurent
+
+        def add_product(*args, **kwargs):
+            raise AssertionError("add_product ran")
+
+        laurent.add_product = add_product
+        from toruskein import smoothing_oracle
+        from toruskein.torus_curves import UnorientedClass
+        print(smoothing_oracle.unoriented_product(UnorientedClass((1, 1)), UnorientedClass((1, -1))))
+        print(smoothing_oracle.oriented_product((2, 1), (1, -2)))
+    """)
+    package_dir = str(Path(toruskein.__file__).parent)
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script, package_dir], capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    unoriented = smoothing_oracle.unoriented_product(UnorientedClass((1, 1)), UnorientedClass((1, -1)))
+    oriented = smoothing_oracle.oriented_product((2, 1), (1, -2))
+    assert run.stdout == f"{unoriented}\n{oriented}\n"
 
 
 def test_oracle_imports_nothing_from_chebyshev():

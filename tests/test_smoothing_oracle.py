@@ -157,6 +157,7 @@ class TestBuildArrangement:
         with pytest.raises(BudgetExceededError, match="^crossing count 25 exceeds the budget of 24$"):
             build_arrangement((5, 0), (0, 5), budget=24)
         assert build_arrangement((5, 0), (0, 5), budget=25).crossing_count == 25
+        assert build_arrangement((4, 0), (0, 6)).crossing_count == 24  # the default budget admits 24
 
 
 def _traced(arr, mask):
@@ -591,10 +592,18 @@ class TestUnorientedProduct:
         assert sum(int(r[2]) for r in records) == 2  # the two mixed states
 
     def test_state_sum_refuses_past_the_dump_limit_before_tracing(self, monkeypatch):
-        arr = build_arrangement((17, 0), (0, 1))
-        monkeypatch.setattr(smoothing_oracle, "_components", lambda *_: pytest.fail("a state was traced"))
-        with pytest.raises(BudgetExceededError, match="^17 crossings exceed the limit of 16 for listing states$"):
-            smoothing_oracle._state_sum(arr)
+        # The limit is checked from |det2| before any work: the arrangement is not even built.
+        class Built(Exception):
+            pass
+
+        def build(*args, **kwargs):
+            raise Built
+
+        monkeypatch.setattr(smoothing_oracle, "build_arrangement", build)
+        with pytest.raises(BudgetExceededError, match="^crossing count 17 exceeds the dump limit of 16$"):
+            unoriented_product(cls((17, 0)), cls((0, 1)), budget=40, dump=io.StringIO())
+        with pytest.raises(Built):  # 16 crossings pass the limit and go on to the build
+            unoriented_product(cls((16, 0)), cls((0, 1)), dump=io.StringIO())
 
     def test_delta_powers_cover_every_state_the_brute_force_takes(self):
         # A state of k crossings closes at most k circles, one per over-strand out-port.
