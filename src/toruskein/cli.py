@@ -213,8 +213,6 @@ def run(argv: Sequence[str] | None = None) -> int:
                     print(r.summary())
             if any(not r.ok for r in results):
                 return 2
-        else:  # pragma: no cover - argparse enforces the choices
-            raise _UsageError(f"unknown command {command!r}")
         return 0
     except (_UsageError, ValueError, BudgetExceededError, OSError) as exc:  # ParseError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

@@ -455,16 +455,30 @@ class TestVerify:
                 UnorientedClass((1, 0)), UnorientedClass((0, 1))
             )
 
-    def test_a_row_keeps_eight_failures_and_counts_every_case(self, capsys, monkeypatch):
-        # Every monomial is off by A, so each of the row's 81 pairs fails.
-        fast = verify.gamma_mul
-        monkeypatch.setattr(verify, "gamma_mul", lambda u, v: fast(u, v).map_coefficients(lambda c: c * A))
+    @pytest.mark.parametrize(
+        "row, owner, name, hit",
+        [
+            (0, SkeinElement, "__mul__", lambda x, y: x.basis == Basis.STANDARD),
+            (1, verify, "gamma_mul", lambda u, v: True),
+            (3, verify, "psi", lambda x: True),
+            (4, SkeinElement, "__mul__", lambda x, y: x.basis == Basis.CHEBYSHEV),
+        ],
+        ids=["fg", "oriented", "psi", "swap"],
+    )
+    def test_a_row_keeps_eight_failures_and_counts_every_case(self, capsys, monkeypatch, row, owner, name, hit):
+        # Every result of the call the row's check makes is off by A, so each of the row's pairs fails.
+        original = getattr(owner, name)
+
+        def skewed(*args):
+            result = original(*args)
+            return result.map_coefficients(lambda c: c * A) if hit(*args) else result
+
+        monkeypatch.setattr(owner, name, skewed)
         code, out, _ = invoke(capsys, "verify", "--json", "--max-coord", "1", "--max-det", "2")
         assert code == 2
-        row = json.loads(out)[1]
-        assert (row["name"], row["cases"], len(row["failures"])) == (
-            "oriented monomial rule vs oriented oracle", 81, 8
-        )
+        report = json.loads(out)
+        assert [r["cases"] for r in report] == [16, 81, 81, 16, 16]
+        assert [len(r["failures"]) for r in report] == [8 if i == row else 0 for i in range(5)]
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         broken = verify.SweepResult("stub", cases=1, failures=["counterexample"])
