@@ -16,16 +16,19 @@ is found by solving the two line equations exactly, in integers scaled by one
 common denominator; no floating point appears anywhere.  Per copy pair there
 are |d0| crossings and n*m*|d0| = |det2(u, v)| = k in total.
 
-The unoriented product sums over all 2^k smoothing states without listing
-them: the crossings are resolved one at a time, and partial states that agree
-on their open paths and closed components are merged (frontier contraction).
+The unoriented product sums over all 2^k smoothing states.  A product of at
+most ``ENUMERATE_LIMIT`` crossings walks each state (the brute-force
+enumeration): at that size the 2^k walks cost less than the contraction's
+set-up per crossing.  A larger product's sum lists no state: the crossings are
+resolved one at a time, and partial states that agree on their open paths and
+closed components are merged (frontier contraction).
 A partial state is keyed by one integer per open port: the port at the other
 end of its path plus the path's homology and turning, packed in balanced digits.
 They are taken in a sweep along a shortest cut curve, the primitive class c
 minimising |det2(c, u)| + |det2(c, v)|: by height det2(c, p) mod 1, then along
 the level curve, so about 2(|det2(c, u)| + |det2(c, v)|) ports are open at once.
 The planar bracket runs on the same kernel, ``contract``.  Listing every
-state (``--dump-states``) takes the brute-force enumeration.
+state (``--dump-states``) takes the brute-force enumeration at any size.
 
 Each crossing has four ports: the over-strand enters at ``u_in`` and leaves at
 ``u_out``, the under-strand at ``v_in``/``v_out``.  The arrangement is one
@@ -75,7 +78,10 @@ from .skein import Basis, SkeinElement, from_vec_maps
 from .torus_curves import EMPTY, UnorientedClass, Vec2, det2, split_signed
 
 DEFAULT_BUDGET = 24
-DUMP_LIMIT = 16  # most crossings the brute-force state sum (a dump) takes: 2^k states
+DUMP_LIMIT = 16  # most crossings the brute-force state sum takes with a dump: 2^k states
+# Most crossings a product sums by brute force without a dump: up to 5 the 2^k walks cost
+# less than the contraction's set-up per crossing, from 6 on they cost more (BENCH_30.json).
+ENUMERATE_LIMIT = 5
 # delta^n = (-1)^n sum_j C(n, j) A^(2n-4j) as (exponent, coefficient) pairs, from ints, not add_product:
 # the weights both state sums add.  A crossing closes at most two circles, a state of k crossings at
 # most k (one per over-strand out-port).
@@ -341,13 +347,15 @@ def _class(count: int, direction: Vec2 | None) -> UnorientedClass:
 
 def _state_sum(arr: Arrangement, dump: IO[str] | None = None) -> dict[tuple, dict[int, int]]:
     """Brute force: trace each of the 2^k states, optionally listing them;
-    keyed as ``contract`` keys its result.  Takes at most ``DUMP_LIMIT``
-    crossings, which ``unoriented_product`` checks before it builds ``arr``."""
+    keyed as ``contract`` keys its result, and ``_classify`` called as
+    ``contract`` calls it.  ``unoriented_product`` sums every product of at
+    most ``ENUMERATE_LIMIT`` crossings here, and every dump, which it limits
+    to ``DUMP_LIMIT`` crossings before it builds ``arr``."""
     k = arr.crossing_count
     acc: dict[tuple, dict[int, int]] = {}
     for mask in range(1 << k):
         exponent = k - 2 * bin(mask).count("1")
-        circles, ess_count, ess_dir = _classify(_components(arr, mask))
+        circles, ess_count, ess_dir = _classify(_components(arr, mask), None)
         bucket = acc.setdefault((ess_count, ess_dir), {})
         for de, dc in _DELTA_POWERS[circles]:
             de += exponent
@@ -556,10 +564,12 @@ def unoriented_product(
 ) -> SkeinElement:
     """Superpose x over y, sum over all 2^k smoothing states, and reduce.
 
-    The result is a standard-basis skein element.  The state sum is
-    contracted crossing by crossing; a ``dump`` lists every state, so it
-    takes the brute-force enumeration instead and at most ``DUMP_LIMIT``
-    crossings, checked before the arrangement is built.  ``workers`` has no
+    The result is a standard-basis skein element.  A product of more than
+    ``ENUMERATE_LIMIT`` crossings is contracted crossing by crossing; a
+    smaller one, where listing the states is faster, and a ``dump``, which
+    lists every state, take the brute-force enumeration, the dump at most
+    ``DUMP_LIMIT`` crossings, checked before the arrangement is built.  Both
+    engines sum the same states into the same buckets.  ``workers`` has no
     effect: the contraction runs in one process, and the parameter stays only
     because existing callers (the benchmark scripts among them) still pass it.
     Empty and parallel classes (det 0) take the crossing-free route: their
@@ -574,11 +584,11 @@ def unoriented_product(
             dump.write(f"0 0 0 {merged}\n")  # the listing's one line, as _state_sum writes it
         return SkeinElement.generator(merged, Basis.STANDARD)
 
+    k = abs(det2(x.vec, y.vec))
     if dump is not None:
-        k = abs(det2(x.vec, y.vec))
         check_bound("crossing count", k, limit=DUMP_LIMIT, limit_name="dump limit", error=BudgetExceededError)
     arr = build_arrangement(x.vec, y.vec, budget=budget)
-    states = _contracted_sum(arr) if dump is None else _state_sum(arr, dump)  # one bucket per class
+    states = _contracted_sum(arr) if dump is None and k > ENUMERATE_LIMIT else _state_sum(arr, dump)
     return from_vec_maps(Basis.STANDARD, {
         (count * d[0], count * d[1]) if count else None: bucket for (count, d), bucket in states.items()
     })

@@ -739,14 +739,17 @@ _ORIENTED_Y = ('{"terms":[{"gamma":[3,0],"coeff":{"-2":1}},{"gamma":[-1,2],"coef
         # The contraction at 15 crossings, and at 12 with copies on both sides (3 over 4).
         (["oracle-mul", "(2,-1)", "(3,6)"], ["mul", "(2,-1)", "(3,6)"]),
         (["oracle-mul", "(3,-6)", "(0,4)"], ["mul", "(3,-6)", "(0,4)"]),
+        # Either side of the enumeration limit: 5 crossings listed, 6 contracted.
+        (["oracle-mul", "(2,1)", "(1,-2)"], ["mul", "(2,1)", "(1,-2)"]),
+        (["oracle-mul", "(2,0)", "(1,3)"], ["mul", "(2,0)", "(1,3)"]),
         # The oriented oracle without crossings.
         (["gamma-mul", "--oracle", "(2,0)", "(-3,0)"], ["gamma-mul", "(2,0)", "(-3,0)"]),
         (["convert", "--to", "chebyshev", _STANDARD_X], ["convert", "--to", "chebyshev", _STANDARD_Y]),
         (["psi", "--json", _STANDARD_X], ["psi", "--json", _STANDARD_Y]),
         (["psi-inv", _ORIENTED_X], ["psi-inv", _ORIENTED_Y]),
     ],
-    ids=["oracle-k15", "oracle-k12", "gamma-oracle-parallel", "convert-term-order", "psi-term-order",
-         "psi-inv-term-order"],
+    ids=["oracle-k15", "oracle-k12", "oracle-k5", "oracle-k6", "gamma-oracle-parallel", "convert-term-order",
+         "psi-term-order", "psi-inv-term-order"],
 )
 def test_two_argvs_print_the_same(capsys, first, second):
     printed = invoke(capsys, *first)[:2]

@@ -146,6 +146,12 @@ class TestPsiChebyshev:
     def test_empty(self):
         assert psi_chebyshev(SkeinElement.unit(Basis.CHEBYSHEV)) == OrientedElement.unit()
 
+    def test_standard_basis_input_is_refused(self):
+        # A standard-basis generator would read as the Chebyshev one at its class.
+        x = SkeinElement.generator(UnorientedClass((2, 0)), Basis.STANDARD)
+        with pytest.raises(BasisMismatchError, match="^psi_chebyshev expects a Chebyshev-basis element$"):
+            psi_chebyshev(x)
+
     def test_image_is_symmetric(self):
         rng = random.Random(29)
         for _ in range(100):

@@ -71,6 +71,11 @@ class TestExtendedGcd:
         xi = smoothing_oracle._transversal((fib[-1], fib[-2]))
         assert det2((fib[-1], fib[-2]), xi) == 1
 
+    def test_a_transversal_of_a_multiple_is_refused(self):
+        # No xi has det2((2, 4), xi) = 1, so the Bezout pair cannot give one.
+        with pytest.raises(ValueError, match=r"^\(2, 4\) is not primitive$"):
+            smoothing_oracle._transversal((2, 4))
+
 
 def _successors(arr, family):
     """Successor crossing of each crossing along the u or v family, read from
@@ -152,6 +157,21 @@ class TestBuildArrangement:
     def test_parallel_classes_rejected(self):
         with pytest.raises(ValueError):
             build_arrangement((1, 1), (2, 2))
+
+    def test_a_wrong_handed_transversal_finds_no_crossing(self, monkeypatch):
+        # Offsets along -xi (det2(prim, -xi) = -1) break the line equations the
+        # solutions are checked against, so the one copy pair finds none.
+        transversal = smoothing_oracle._transversal
+        monkeypatch.setattr(smoothing_oracle, "_transversal", lambda p: tuple(-c for c in transversal(p)))
+        with pytest.raises(ArrangementError, match="^copy pair produced 0 crossings, expected 1$"):
+            build_arrangement((1, 0), (0, 1))
+
+    def test_copies_offset_by_nothing_cross_at_one_point(self, monkeypatch):
+        # With a zero transversal the two (1, 0) copies lie on one line, so
+        # both meet the (0, 1) curve at its origin.
+        monkeypatch.setattr(smoothing_oracle, "_transversal", lambda p: (0, 0))
+        with pytest.raises(ArrangementError, match=r"^two crossings at one point \(0, 0\)/6$"):
+            build_arrangement((2, 0), (0, 1))
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError, match="^crossing count 25 exceeds the budget of 24$"):
@@ -349,7 +369,10 @@ class TestContraction:
     @pytest.mark.parametrize("u, v", [((2, 1), (1, -2)), ((2, 2), (2, -2))])
     def test_a_classify_error_raises_through_the_contraction(self, monkeypatch, u, v):
         # The component classified last in a clean run is refused by a stub:
-        # the closing that holds it must still reach the stub and raise.
+        # the closing that holds it must still reach the stub and raise.  It is
+        # refused up to sign: the enumeration, which takes products of at most
+        # ENUMERATE_LIMIT crossings, walks a component from an over-strand
+        # out-port, so it may run it the other way and see it negated.
         seen = []
         classify = smoothing_oracle._classify
         monkeypatch.setattr(
@@ -357,9 +380,10 @@ class TestContraction:
         )
         smoothing_oracle._contracted_sum(build_arrangement(u, v))
         refused = seen[-1]
+        negated = tuple(-n for n in refused)
 
         def stub(closed, direction):
-            if refused in closed:
+            if refused in closed or negated in closed:
                 raise ArrangementError(f"stub refuses {refused}")
             return classify(closed, direction)
 
@@ -367,6 +391,25 @@ class TestContraction:
         with pytest.raises(ArrangementError, match="stub refuses"):
             smoothing_oracle._contracted_sum(build_arrangement(u, v))
         with pytest.raises(ArrangementError, match="stub refuses"):
+            unoriented_product(cls(u), cls(v))
+
+    @pytest.mark.parametrize("u, v", [((2, 1), (1, -2)), ((2, 0), (1, 3))], ids=["enumerated", "contracted"])
+    def test_an_arc_off_the_lattice_raises_through_the_product(self, monkeypatch, u, v):
+        # One arc moved by 1/denom along x (both ends, so the table stays
+        # consistent): every state has a component through it, whose homology
+        # is then no lattice vector.  Both engines check it in ``_whole``.
+        build = smoothing_oracle.build_arrangement
+
+        def tampered(*args, **kwargs):
+            arr = build(*args, **kwargs)
+            disp, q = list(arr.disp), arr.arc_other[U_OUT]
+            dx, dy = disp[U_OUT]
+            disp[U_OUT], disp[q] = (dx + 1, dy), (-dx - 1, -dy)
+            return arr._replace(disp=tuple(disp))
+
+        monkeypatch.setattr(smoothing_oracle, "build_arrangement", tampered)
+        assert build(u, v).denom > 1
+        with pytest.raises(ArrangementError, match="^component homology is not integral$"):
             unoriented_product(cls(u), cls(v))
 
     def test_twenty_six_crossings(self):
@@ -579,6 +622,19 @@ class TestUnorientedProduct:
         oriented_product((2, 1), (1, -2))
         assert calls == [((2, 1), (1, -2)), ((1, 1), (1, -1)), ((2, 1), (1, -2))]
 
+    def test_products_of_at_most_five_crossings_are_enumerated(self, monkeypatch):
+        # The engine is chosen by crossing count: the k = 5 product never
+        # reaches the contraction, and the k = 6 one does.
+        assert smoothing_oracle.ENUMERATE_LIMIT == 5
+
+        def contract(*args, **kwargs):
+            raise AssertionError("contracted")
+
+        monkeypatch.setattr(smoothing_oracle, "contract", contract)
+        assert unoriented_product(cls((2, 1)), cls((1, -2))) == std((2, 1)) * std((1, -2))
+        with pytest.raises(AssertionError, match="^contracted$"):
+            unoriented_product(cls((2, 0)), cls((1, 3)))
+
     def test_state_dump_lists_every_state(self):
         buffer = io.StringIO()
         unoriented_product(cls((1, 1)), cls((1, -1)), dump=buffer)
@@ -647,6 +703,17 @@ class TestOrientedProduct:
         u, v = (1, 2), (2, 1)
         assert -det2(u, v) == 3
         assert oriented_product(u, v) == OrientedElement.make({(3, 3): LaurentPoly.parse("A^3")})
+
+    def test_a_walk_against_the_orientation_raises(self, monkeypatch):
+        # Components traced backwards sum to -(u + v), which the product refuses.
+        components = smoothing_oracle._components
+        monkeypatch.setattr(
+            smoothing_oracle, "_components",
+            lambda arr, mask: [(-hx, -hy, -w) for hx, hy, w in components(arr, mask)],
+        )
+        message = r"^oriented homology \(-3, 1\) does not match \(2, 1\) \+ \(1, -2\)$"
+        with pytest.raises(ArrangementError, match=message):
+            oriented_product((2, 1), (1, -2))
 
     def test_ledger_for_cancelling_pairs(self):
         # No crossings, so nothing is traced: the cancellation is asserted.
