@@ -7,10 +7,10 @@ smooths uniquely for oriented strands, so products of monomials are monomials:
 
     gamma_u * gamma_v = A^(-det2(u, v)) * gamma_(u+v),
 
-the quantum-torus exchange rule.  In particular gamma_v and gamma_(-v) are
-mutually inverse.  The orientation-reversal involution theta negates keys; the
-symmetrization map psi sends an unoriented multicurve to the sum of all its
-orientations and lands in the theta-fixed subalgebra.
+the quantum-torus exchange rule, which ``OrientedElement.__mul__`` alone writes
+(``gamma_mul`` multiplies two ``gamma``s), so gamma_(-v) inverts gamma_v.  The
+orientation-reversal involution theta negates keys; psi sends an unoriented
+multicurve to the sum of all its orientations, in the theta-fixed subalgebra.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 
 from .laurent import ONE, LaurentPoly, add_product, quoted
 from .skein import Basis, BasisMismatchError, SkeinElement, TermMap, finish_terms, format_terms
-from .torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize, det2, vec_from_json
+from .torus_curves import EMPTY, UnorientedClass, Vec2, canonicalize, vec_from_json
 
 
 class AsymmetricElementError(ValueError):
@@ -88,8 +88,8 @@ class OrientedElement(TermMap):
 
 
 def gamma_mul(u: Vec2, v: Vec2) -> OrientedElement:
-    """Product of two oriented monomials: A^(-det2(u, v)) * gamma_(u+v)."""
-    return OrientedElement((((u[0] + v[0], u[1] + v[1]), LaurentPoly.monomial(1, -det2(u, v))),))
+    """Product of two oriented monomials, A^(-det2(u, v)) * gamma_(u+v), by ``__mul__``'s rule."""
+    return OrientedElement.gamma(u) * OrientedElement.gamma(v)
 
 
 def psi(x: SkeinElement) -> OrientedElement:
@@ -130,14 +130,13 @@ def psi_inverse(x: OrientedElement) -> SkeinElement:
     passes to the empty class.  Raises AsymmetricElementError (with a witness
     key) if some mirror coefficient differs.
     """
-    terms = dict(x.terms())
     out: list[tuple[UnorientedClass, LaurentPoly]] = []
     for key, coeff in x.terms():
         if key == (0, 0):
             out.append((EMPTY, coeff))
             continue
         mirror = (-key[0], -key[1])
-        if terms.get(mirror, LaurentPoly.zero()) != coeff:
+        if x.coefficient(mirror) != coeff:
             raise AsymmetricElementError(key)
         canonical, flipped = canonicalize(key)
         if not flipped:  # emit each pair once, from its canonical member

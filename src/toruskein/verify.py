@@ -76,7 +76,7 @@ def fg_vs_oracle_sweep(max_coord: int, max_det: int) -> SweepResult:
 
 
 def oriented_monomial_sweep(max_coord: int, max_det: int) -> tuple[SweepResult, int]:
-    """Monomial rule vs the oriented oracle, over every ordered vector pair.
+    """``OrientedElement.gamma`` and ``__mul__`` (as ``gamma_mul``) vs the oriented oracle, per vector pair.
 
     Also returns the sum over the sweep of the A-exponents of the oracle's
     monomials.  A correct oracle's is -det2(u, v) and the sweep holds each

@@ -480,6 +480,17 @@ class TestVerify:
         assert [r["cases"] for r in report] == [16, 81, 81, 16, 16]
         assert [len(r["failures"]) for r in report] == [8 if i == row else 0 for i in range(5)]
 
+    def test_one_skewed_exchange_rule_fails_the_oriented_and_psi_rows(self, capsys, monkeypatch):
+        # gamma_mul multiplies two gammas, so the oriented row runs the psi row's
+        # exchange rule and a wrong rule fails both.
+        original = OrientedElement.__mul__
+        monkeypatch.setattr(OrientedElement, "__mul__", lambda x, y: original(x, y).map_coefficients(lambda c: c * A))
+        code, out, _ = invoke(capsys, "verify", "--json", "--max-coord", "1", "--max-det", "2")
+        assert code == 2
+        report = json.loads(out)
+        assert [r["cases"] for r in report] == [16, 81, 81, 16, 16]
+        assert [len(r["failures"]) for r in report] == [0, 8, 0, 8, 0]
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         broken = verify.SweepResult("stub", cases=1, failures=["counterexample"])
         monkeypatch.setattr(verify, "run_all", lambda **kw: [broken])

@@ -17,10 +17,11 @@ import toruskein
 from toruskein import bracket_planar, smoothing_oracle
 from toruskein.torus_curves import UnorientedClass
 
-# The fast product's kernels and the accumulation loops it runs on; the oracle
-# adds its own state weights.
+# The fast product's kernels, its basis changes and psi, and the accumulation
+# loops they run on; the oracle adds its own state weights.
 FAST_PATH_NAMES = {
-    "_mul_chebyshev", "gamma_mul", "power_to_chebyshev", "add_product", "accumulate", "circle_step",
+    "_mul_chebyshev", "gamma_mul", "power_to_chebyshev", "to_chebyshev", "to_standard", "psi_chebyshev",
+    "add_product", "accumulate",
 }
 
 
@@ -96,10 +97,11 @@ def test_oracle_names_no_fast_product_kernel():
 
 
 def test_bracket_runs_on_the_oracle_kernel():
-    # A second contraction loop would accumulate polynomials itself.
+    # A second state loop would accumulate polynomials itself or read the
+    # oracle's table of delta powers.
     names = _names(_tree(bracket_planar))
     assert "contract" in names
-    assert not names & {"circle_step", "add_product"}
+    assert not names & {"_DELTA_POWERS", "add_product"}
 
 
 def test_runtime_imports_only_the_standard_library():
