@@ -9,12 +9,16 @@ oriented monomial rule, so it shares no code with either.
 Combinatorial model
 -------------------
 Work on the flat torus R^2/Z^2.  The first family (drawn above the second) is
-n parallel translates of the geodesic with primitive direction pu, the second
-m translates of direction pv, with det2(pu, pv) = d0 != 0.  Translates are
-offset by exact rational multiples of a transversal vector, so every crossing
-is found by solving the two line equations exactly, in integers scaled by one
-common denominator; no floating point appears anywhere.  Per copy pair there
-are |d0| crossings and n*m*|d0| = |det2(u, v)| = k in total.
+n parallel translates of the geodesic with primitive direction pu, u = n*pu,
+the second m translates of direction pv, v = m*pv, with det2(pu, pv) = d0 != 0.
+The translates of a family are equally spaced along a transversal, so the
+first family is the set det2(u, x) = 1/2 mod 1 and the second det2(v, x) =
+1/2 mod 1.  Their k = |det2(u, v)| = n*m*|d0| crossings are then one orbit
+of a translation group of order k: the preimage of Z^2 under x ->
+(det2(u, x), det2(v, x)), generated by u/k and v/k.  Every arc runs from a
+crossing to its translate by u/k (over-strand) or v/k (under-strand).  The
+builder works in exact integers, in units of 1/(2k); no floating point
+appears anywhere.
 
 The unoriented product sums over all 2^k smoothing states.  A product of at
 most ``ENUMERATE_LIMIT`` crossings walks each state (the brute-force
@@ -105,8 +109,12 @@ class Arrangement(NamedTuple):
 
     Port 4*i + role belongs to crossing i.  ``arc_other[p]`` is the port at
     the other end of p's arc and ``disp[p]`` the arc's displacement leaving
-    p (the two ends of an arc carry opposite ones); ``point[i]`` is crossing
-    i's position minus crossing 0's, mod 1; both in units of 1/denom.
+    p (the two ends of an arc carry opposite ones).  Every crossing's arcs
+    leave it by -u/k, u/k, -v/k and v/k, so ``disp`` repeats its first four
+    entries.  ``point[i]`` is crossing i's translation: crossing i's position
+    minus crossing 0's, mod 1.  The arc leaving crossing i's U_OUT (V_OUT)
+    ends at the crossing whose point is point[i] + disp[U_OUT] (disp[V_OUT])
+    mod denom.  Both are in units of 1/denom.
     """
 
     d0: int  # det2 of the two primitive directions, nonzero
@@ -141,95 +149,61 @@ def _transversal(prim: Vec2) -> Vec2:
 def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) -> Arrangement:
     """Lay out the two families in generic position and index their crossings.
 
-    Requires det2(u_vec, v_vec) != 0 (parallel families have no crossings and
-    are handled by the product operations directly) and a crossing count
-    within the budget.  Copy j of the u family is offset by (j+1)/den_u * xi_u
-    and copy l of the v family by (l+1)/den_v * xi_v, with den_u = n + 1 and
-    den_v = m + 1.  The offsets of one family are distinct fractions in (0, 1),
-    so its copies are disjoint; a point then lies on one copy of each family,
-    and the |d0| crossings of each copy pair are distinct, so no two crossings
-    coincide.  Every parameter and point is an integer in units of 1/size,
-    size = |d0|*den_u*den_v.
+    Requires d = det2(u_vec, v_vec) != 0 (parallel families have no crossings
+    and are handled by the product operations directly) and k = |d| within
+    the budget.  Copy j < n of the u family is offset by (2j+1)/(2n) * xi_u,
+    so the family is the set det2(u_vec, x) = 1/2 mod 1; copy l < m of the v
+    family likewise.  The crossings are one orbit of the translation group
+    generated by u_vec/k and v_vec/k, of order k: x0 = (v_vec - u_vec)/(2d)
+    is a crossing, and they are x0 + (i*u_vec + j*v_vec)/k mod 1 for i < k/n
+    and j < n.  The next crossing along the over (under) strand is the
+    translate by u_vec/k (v_vec/k), so the port table is a lookup on
+    translations.
 
-    A copy pair's crossings solve t*pu + ou = w*pv + ov (mod Z^2) for curve
-    parameters t, w in [0, 1), in units of 1/size; ``delta`` is
-    scale*(ov - ou).  With e = t*pu - w*pv = ov - ou + z for a lattice
-    translate z, det2(e, pv) = t*d0 and det2(z, pv) ranges over Z, so t runs
-    over one residue modulo scale: t = (sign(d0)*det2(delta, pv) mod scale)
-    + scale*r for r < |d0|.  For each t the point t*pu - (ov - ou) lies on
-    the line z0 + R*pv with z0 = -i*xi_v, i = det2(t*pu - (ov - ou), pv); its
-    position along pv, c/size, splits into an integer s and w in [0, 1), and
-    z = z0 + s*pv.  Each pair's crossings are indexed in the order of their
-    translates z.
+    Crossings are numbered copy pair by copy pair, in the order of their
+    offsets, then by the lattice translate z = (ou + t*pu) - (ov + w*pv)
+    between the two copies' lifts, t and w in [0, 1) the crossing's
+    parameters along them.  As det2(pu, xi_u) = 1, a crossing x is
+    t*pu + a*xi_u mod 1 with a = det2(pu, x), the offset of its u copy, and
+    t = det2(x, xi_u): ou + t*pu is x with both coordinates in the basis
+    (pu, xi_u) reduced into [0, 1).  Likewise along v.
     """
-    d_full = u_vec[0] * v_vec[1] - u_vec[1] * v_vec[0]
-    if d_full == 0:
+    d = u_vec[0] * v_vec[1] - u_vec[1] * v_vec[0]
+    if d == 0:
         raise ValueError("parallel classes have no arrangement; det2 = 0")
-    k = abs(d_full)
+    k = abs(d)
     check_bound("crossing count", k, limit=budget, limit_name="budget", error=BudgetExceededError)
-    n, pu = split_signed(u_vec)
-    m, pv = split_signed(v_vec)
-    (ux, uy), (vx, vy) = pu, pv
-    d0 = ux * vy - uy * vx
-    ad0 = abs(d0)
-    xux, xuy = _transversal(pu)
-    xvx, xvy = _transversal(pv)
+    n, (pux, puy) = split_signed(u_vec)
+    m, (pvx, pvy) = split_signed(v_vec)
+    eux, euy = _transversal((pux, puy))
+    evx, evy = _transversal((pvx, pvy))
+    (ux, uy), (vx, vy) = u_vec, v_vec
 
-    den_u, den_v = n + 1, m + 1
-    scale = den_u * den_v
-    size = ad0 * scale
-    u_xi = ux * xvy - uy * xvx  # det2(pu, xi_v); det2(t*pu - ad0*delta, w) is linear in t
-    # (parameter, crossing) along each copy of each family, in crossing order.
-    on_u: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    on_v: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    points: dict[Vec2, None] = {}  # in crossing order
-    for j, on_j in enumerate(on_u, 1):
-        ou_x, ou_y = ad0 * j * den_v * xux, ad0 * j * den_v * xuy
-        for l, on_l in enumerate(on_v, 1):
-            dx = l * den_u * xvx - j * den_v * xux
-            dy = l * den_u * xvy - j * den_v * xuy
-            delta_v = dx * vy - dy * vx
-            e_v, e_xi, ex, ey = ad0 * delta_v, ad0 * (dx * xvy - dy * xvx), ad0 * dx, ad0 * dy
-            sols = []  # (translate z, t, w), each checked against both line equations
-            for t in range((delta_v if d0 > 0 else -delta_v) % scale, size, scale):
-                i = (t * d0 - e_v) // size
-                s, w = divmod(t * u_xi - e_xi, size)
-                zx, zy = s * vx - i * xvx, s * vy - i * xvy
-                if t * ux - w * vx == ex + size * zx and t * uy - w * vy == ey + size * zy:
-                    sols.append((zx, zy, t, w))
-            if len(sols) != ad0:
-                raise ArrangementError(
-                    f"copy pair produced {len(sols)} crossings, expected {ad0}"
-                )
-            sols.sort()  # t fixes z, so the translates are distinct
-            for _zx, _zy, t, w in sols:
-                pt = ((t * ux + ou_x) % size, (t * uy + ou_y) % size)
-                if pt in points:
-                    raise ArrangementError(f"two crossings at one point {pt}/{size}")
-                on_j.append((t, len(points)))
-                on_l.append((w, len(points)))
-                points[pt] = None
+    size, sign = 2 * k, 1 if d > 0 else -1
+    x0, y0 = sign * (vx - ux), sign * (vy - uy)  # a crossing, in units of 1/size
+    keys: dict[Vec2, tuple[int, ...]] = {}  # translation in units of 1/k, mod 1 -> numbering key
+    for i in range(k // n):
+        for j in range(n):
+            tx, ty = (i * ux + j * vx) % k, (i * uy + j * vy) % k
+            x, y = x0 + 2 * tx, y0 + 2 * ty
+            a, b = (pux * y - puy * x) % size, (pvx * y - pvy * x) % size  # the two copies' offsets
+            t, w = (x * euy - y * eux) % size, (x * evy - y * evx) % size  # the parameters along them
+            keys[tx, ty] = (a, b, a * eux + t * pux - b * evx - w * pvx, a * euy + t * puy - b * evy - w * pvy)
+    if len(keys) != k:
+        raise ArrangementError(f"listed translations coincide: {len(keys)} distinct of {k}")
 
-    arc_other = [0] * (4 * k)
-    gap = [0] * (4 * k)  # signed arc length leaving each port along its primitive, in 1/size
-    for on_family, out_role, in_role in ((on_u, U_OUT, U_IN), (on_v, V_OUT, V_IN)):
-        for on_copy in on_family:
-            on_copy.sort()
-            t_prev, c_prev = on_copy[-1][0] - size, on_copy[-1][1]  # the last crossing, a turn back
-            for t, ci in on_copy:
-                g = t - t_prev
-                p, q = 4 * c_prev + out_role, 4 * ci + in_role
-                arc_other[p], arc_other[q] = q, p
-                gap[p], gap[q] = g, -g
-                t_prev, c_prev = t, ci
-
-    # The least common denominator of all displacements, so of point
-    # differences; each gap times a primitive vector has content |gap|.
-    unit = math.gcd(size, *gap)
-    disp = [(g * x // unit, g * y // unit) for g, (x, y) in zip(gap, (pu, pu, pv, pv) * k)]
-    x0, y0 = next(iter(points))
-    point = tuple([((x - x0) % size // unit, (y - y0) % size // unit) for x, y in points])
-    return Arrangement(d0, k, tuple(arc_other), tuple(disp), size // unit, point)  # keywords cost more
+    order = sorted(keys, key=keys.__getitem__)
+    index = {tr: c for c, tr in enumerate(order)}
+    steps = ((-ux, -uy), (ux, uy), (-vx, -vy), (vx, vy))  # the arc leaving each role, in units of 1/k
+    # An arc leaving role r of a crossing ends at role r ^ 1 (in <-> out) of its translate.
+    arc_other = tuple(
+        4 * index[(tx + sx) % k, (ty + sy) % k] + (role ^ 1) for tx, ty in order for role, (sx, sy) in enumerate(steps)
+    )
+    g = math.gcd(k, ux, uy, vx, vy)  # the least common denominator of the steps is k/g
+    disp = tuple((sx // g, sy // g) for sx, sy in steps) * k
+    ox, oy = order[0]
+    point = tuple(((tx - ox) % k // g, (ty - oy) % k // g) for tx, ty in order)
+    return Arrangement(d // (n * m), k, arc_other, disp, k // g, point)  # keywords cost more
 
 
 # A crossing's A- and B-resolution as ``contract`` takes them, keyed by d0 > 0:

@@ -55,10 +55,15 @@ def class_pairs(max_coord: int, max_det: int) -> list[tuple[UnorientedClass, Uno
 
 
 def _sweep(name: str, pairs: list, check: Callable[..., str | None]) -> SweepResult:
-    """Count every pair as a case and keep each counterexample line ``check`` returns."""
+    """Count every pair as a case and keep each counterexample line ``check`` returns;
+    an oracle invariant the pair breaks is that pair's failure, not the run's end."""
     result = SweepResult(name, cases=len(pairs))
     for x, y in pairs:
-        if (failure := check(x, y)) is not None:
+        try:
+            failure = check(x, y)
+        except oracle.ArrangementError as exc:
+            failure = f"{x} * {y}: oracle invariant broken: {exc}"
+        if failure is not None:
             result.fail(failure)
     return result
 

@@ -1,12 +1,15 @@
 """Reference arrangement builder: the bounding-box scan in exact `Fraction`s.
 
-This is the original construction that ``build_arrangement`` replaced with
-integer arithmetic.  It solves every copy pair's line equations by scanning
-the integer translates that can reach the unit parameter square, in
-``(zx, zy)`` order, so its crossing indices define the order the integer
-builder must reproduce.  It links the crossings along each copy by successor
-and only at the end turns successors and displacements into the port table.
-Tests compare the two field for field.
+This is the original construction, which solves every copy pair's line
+equations by scanning the integer translates that can reach the unit
+parameter square, in ``(zx, zy)`` order, so its crossing indices define the
+order ``build_arrangement`` must reproduce.  It places copy j of n at
+(2j+1)/(2n) of the transversal, as ``build_arrangement`` does, where the
+crossings are one orbit of the translations by u/k and v/k and every arc is
+one of those; this builder finds them without that fact.  It links the
+crossings along each copy by successor, and only at the end turns successors
+and displacements into the port table.  Tests compare the two field for
+field.
 """
 
 from __future__ import annotations
@@ -65,13 +68,13 @@ def scan_arrangement(u_vec: Vec2, v_vec: Vec2) -> Arrangement:
     xi_u = _transversal(pu)
     xi_v = _transversal(pv)
 
-    eps_u, eps_v = Fraction(1, n + 1), Fraction(1, m + 1)
+    eps_u, eps_v = Fraction(1, 2 * n), Fraction(1, 2 * m)
     crossings: list[tuple[int, int, Fraction, Fraction]] = []
     points: list[tuple[Fraction, Fraction]] = []
     for j in range(n):
-        ou = ((j + 1) * eps_u * xi_u[0], (j + 1) * eps_u * xi_u[1])
+        ou = ((2 * j + 1) * eps_u * xi_u[0], (2 * j + 1) * eps_u * xi_u[1])
         for l in range(m):
-            ov = ((l + 1) * eps_v * xi_v[0], (l + 1) * eps_v * xi_v[1])
+            ov = ((2 * l + 1) * eps_v * xi_v[0], (2 * l + 1) * eps_v * xi_v[1])
             for t, w in copy_pair_crossings(pu, pv, ou, ov):
                 pt = ((t * pu[0] + ou[0]) % 1, (t * pu[1] + ou[1]) % 1)
                 if pt in points:

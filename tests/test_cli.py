@@ -112,10 +112,14 @@ class TestOracleMul:
             ("(1,1)", "(1,-1)", "1_1__1_-1"),
             ("(2,1)", "(1,-2)", "2_1__1_-2"),
             ("(4,-4)", "(3,0)", "4_-4__3_0"),
+            ("(2,0)", "(2,-3)", "2_0__2_-3"),
         ],
     )
     def test_dump_states_replays_byte_for_byte(self, capsys, tmp_path, x, y, name):
-        # Captured before the state sum was contracted; --dump-states must not change.
+        # The first three were captured before the state sum was contracted;
+        # --dump-states must not change.  (2,0)*(2,-3), two copies with
+        # |d0| = 3, was captured once copies were equally spaced: spacing
+        # them moved its lines to other mask bits, with the same lines.
         expected = Path(__file__).with_name("dump_states") / name
         dump = tmp_path / "states.txt"
         code, out, _ = invoke(capsys, "oracle-mul", "--dump-states", str(dump), x, y)
@@ -490,6 +494,34 @@ class TestVerify:
         report = json.loads(out)
         assert [r["cases"] for r in report] == [16, 81, 81, 16, 16]
         assert [len(r["failures"]) for r in report] == [0, 8, 0, 8, 0]
+
+    def test_a_broken_oracle_invariant_fails_its_pair_and_every_row_reports(self, capsys, monkeypatch):
+        # The oracle refuses (1,0) * (0,1) as if an invariant broke.  The fg,
+        # oriented and psi rows each reach that pair and fail it; the grading
+        # row misses its exponent, -1, so the sum reads 1; the swap row runs
+        # no oracle.  The run still prints every row and exits 2.
+        build = smoothing_oracle.build_arrangement
+
+        def refuse(u, v, budget=smoothing_oracle.DEFAULT_BUDGET):
+            if (u, v) == ((1, 0), (0, 1)):
+                raise smoothing_oracle.ArrangementError("stub refuses this pair")
+            return build(u, v, budget=budget)
+
+        monkeypatch.setattr(smoothing_oracle, "build_arrangement", refuse)
+        code, out, err = invoke(capsys, "verify", "--json", "--max-coord", "1", "--max-det", "2")
+        assert (code, err) == (2, "")
+        report = json.loads(out)
+        assert [r["cases"] for r in report] == [16, 81, 81, 16, 16]
+        assert [r["failures"] for r in report] == [
+            ["(1,0) * (0,1): oracle invariant broken: stub refuses this pair"],
+            ["(1, 0) * (0, 1): oracle invariant broken: stub refuses this pair"],
+            ["the oracle's exponents sum to 1, not 0 (an error antisymmetric in (u, v) would still pass)"],
+            ["(1,0) * (0,1): oracle invariant broken: stub refuses this pair"],
+            [],
+        ]
+        code, out, err = invoke(capsys, "verify", "--max-coord", "1", "--max-det", "2")
+        assert (code, err) == (2, "")
+        assert [line.split()[0] for line in out.splitlines()] == ["FAIL"] * 4 + ["ok"]
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         broken = verify.SweepResult("stub", cases=1, failures=["counterexample"])

@@ -158,20 +158,32 @@ class TestBuildArrangement:
         with pytest.raises(ValueError):
             build_arrangement((1, 1), (2, 2))
 
-    def test_a_wrong_handed_transversal_finds_no_crossing(self, monkeypatch):
-        # Offsets along -xi (det2(prim, -xi) = -1) break the line equations the
-        # solutions are checked against, so the one copy pair finds none.
-        transversal = smoothing_oracle._transversal
-        monkeypatch.setattr(smoothing_oracle, "_transversal", lambda p: tuple(-c for c in transversal(p)))
-        with pytest.raises(ArrangementError, match="^copy pair produced 0 crossings, expected 1$"):
-            build_arrangement((1, 0), (0, 1))
-
-    def test_copies_offset_by_nothing_cross_at_one_point(self, monkeypatch):
-        # With a zero transversal the two (1, 0) copies lie on one line, so
-        # both meet the (0, 1) curve at its origin.
-        monkeypatch.setattr(smoothing_oracle, "_transversal", lambda p: (0, 0))
-        with pytest.raises(ArrangementError, match=r"^two crossings at one point \(0, 0\)/6$"):
+    def test_coinciding_translations_are_refused(self, monkeypatch):
+        # Claiming one copy of (2, 0) lists the translates of crossing 0 by
+        # 0 and (2, 0)/2, which coincide mod 1: one crossing, not two.
+        split = smoothing_oracle.split_signed
+        monkeypatch.setattr(smoothing_oracle, "split_signed", lambda vec: (1, split(vec)[1]))
+        with pytest.raises(ArrangementError, match="^listed translations coincide: 1 distinct of 2$"):
             build_arrangement((2, 0), (0, 1))
+
+    def test_every_arrangement_is_invariant_under_its_translations(self):
+        # Every crossing sees the same four arcs, and each arc leads to the
+        # crossing one step u/k or v/k further on: the group that translates
+        # crossing 0 to each point maps the port table to itself.
+        vecs = [(a, b) for a in range(-4, 5) for b in range(-4, 5) if (a, b) != (0, 0)]
+        pairs = [(u, v) for u in vecs for v in vecs if 0 < abs(det2(u, v)) <= 16]
+        assert len(pairs) > 3000
+        for u, v in pairs:
+            arr = build_arrangement(u, v)
+            denom, at = arr.denom, {pt: c for c, pt in enumerate(arr.point)}
+            assert len(at) == arr.crossing_count, (u, v)
+            for c, (px, py) in enumerate(arr.point):
+                assert arr.disp[4 * c:4 * c + 4] == arr.disp[:4], (u, v, c)
+                for out_role, in_role in (U_OUT, U_IN), (V_OUT, V_IN):
+                    dx, dy = arr.disp[out_role]
+                    assert arr.arc_other[4 * c + out_role] == 4 * at[(px + dx) % denom, (py + dy) % denom] + in_role, (
+                        u, v, c, out_role
+                    )
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError, match="^crossing count 25 exceeds the budget of 24$"):
@@ -276,6 +288,17 @@ def _assert_contraction_matches_enumeration(pairs):
         contracted = smoothing_oracle._contracted_sum(arr)
         assert _sum(contracted) == _sum(smoothing_oracle._state_sum(arr)), (u, v)
         assert _peak_open_ports(arr) <= 2 * _cut_cost(u, v) + 2, (u, v)
+
+
+# Copy pairs with the widest payload digits and some arc running against its
+# axes, each with its denominator: 2 copies over 7 (k = 14) with d0 = 1 and
+# -1, 2 over 3 (k = 12) with d0 = -2, 2 over 2 (k = 12) with d0 = -3.
+WIDEST_COPY_PAIRS = [
+    ((-8, -6), (-7, -7), 14),
+    ((8, -6), (7, -7), 14),
+    ((-8, -6), (-6, -3), 12),
+    ((-8, -6), (-2, 0), 6),
+]
 
 
 class TestContraction:
@@ -432,12 +455,8 @@ class TestContraction:
 
     @pytest.mark.parametrize(
         "u, v, denom",
-        [
-            ((-8, -6), (-7, -7), 24),  # 2 copies over 7, d0 = -1: k = 14
-            ((8, -6), (7, -7), 24),
-            ((-8, -6), (-6, -3), 24),  # 2 copies over 3, d0 = -2: k = 12
-            ((-8, -6), (-2, 0), 9),  # 2 copies over 2, d0 = 3: k = 12
-        ],
+        WIDEST_COPY_PAIRS,
+        ids=["d0=1", "d0=-1", "d0=-2", "d0=-3"],
     )
     def test_matches_enumeration_on_copy_pairs_with_negative_displacements(self, u, v, denom):
         # The largest denominators among copy pairs of at most 14 crossings
@@ -446,6 +465,23 @@ class TestContraction:
         assert arr.denom == denom
         assert any(d < 0 for p in (U_OUT, V_OUT) for d in arr.disp[p])
         _assert_contraction_matches_enumeration([(u, v)])
+
+    def test_these_copy_pairs_are_the_widest(self):
+        # Among the products of at most 14 crossings whose two families both
+        # have several copies, coordinates within 8, each pair above has the
+        # largest denominator for its |d0|: 14 (|d0| = 1), 12 and 6.
+        vecs = [(a, b) for a in range(-8, 9) for b in range(-8, 9) if math.gcd(a, b) > 1]
+        widest = {}
+        for u in vecs:
+            for v in vecs:
+                if 0 < abs(det2(u, v)) <= 14:
+                    arr = build_arrangement(u, v)
+                    widest[abs(arr.d0)] = max(widest.get(abs(arr.d0), 0), arr.denom)
+        assert widest == {1: 14, 2: 12, 3: 6}
+        arrs = [build_arrangement(u, v) for u, v, _denom in WIDEST_COPY_PAIRS]
+        assert [arr.d0 for arr in arrs] == [1, -1, -2, -3]
+        for arr, (u, v, denom) in zip(arrs, WIDEST_COPY_PAIRS):
+            assert min(math.gcd(*u), math.gcd(*v)) > 1 and widest[abs(arr.d0)] == arr.denom == denom, (u, v)
 
 
 def _component_arcs(arr, mask):
