@@ -177,6 +177,8 @@ def build_arrangement(u_vec: Vec2, v_vec: Vec2, budget: int = DEFAULT_BUDGET) ->
     m, (pvx, pvy) = split_signed(v_vec)
     eux, euy = _transversal((pux, puy))
     evx, evy = _transversal((pvx, pvy))
+    if pux * euy - puy * eux != 1 or pvx * evy - pvy * evx != 1:  # the numbering rests on det2(p, xi) = 1
+        raise ArrangementError(f"transversals {(eux, euy)} and {(evx, evy)} are not right-handed")
     (ux, uy), (vx, vy) = u_vec, v_vec
 
     size, sign = 2 * k, 1 if d > 0 else -1

@@ -158,6 +158,26 @@ class TestBuildArrangement:
         with pytest.raises(ValueError):
             build_arrangement((1, 1), (2, 2))
 
+    def test_a_wrong_handed_transversal_finds_no_crossing(self, monkeypatch):
+        # With offsets along -xi (det2(prim, -xi) = -1) a crossing x is not
+        # t*pu + a*xi for its copy's offset a and parameter t, so the keys
+        # would name no crossing and silently renumber the arrangement.
+        transversal = smoothing_oracle._transversal
+        monkeypatch.setattr(smoothing_oracle, "_transversal", lambda p: tuple(-c for c in transversal(p)))
+        with pytest.raises(ArrangementError, match=r"^transversals \(0, -1\) and \(1, 0\) are not right-handed$"):
+            build_arrangement((1, 2), (2, 1))
+
+    def test_copies_offset_by_nothing_cross_at_one_point(self, monkeypatch):
+        # With a zero transversal the two (1, 0) copies lie on one line, so the
+        # scan builder's line equations put both crossings at the (0, 1)
+        # curve's origin; the builder refuses the transversal outright.
+        monkeypatch.setattr("scan_arrangement._transversal", lambda p: (0, 0))
+        with pytest.raises(ArrangementError, match=r"^two crossings at one point \(Fraction\(0, 1\), Fraction\(0, 1\)\)$"):
+            scan_arrangement((2, 0), (0, 1))
+        monkeypatch.setattr(smoothing_oracle, "_transversal", lambda p: (0, 0))
+        with pytest.raises(ArrangementError, match=r"^transversals \(0, 0\) and \(0, 0\) are not right-handed$"):
+            build_arrangement((2, 0), (0, 1))
+
     def test_coinciding_translations_are_refused(self, monkeypatch):
         # Claiming one copy of (2, 0) lists the translates of crossing 0 by
         # 0 and (2, 0)/2, which coincide mod 1: one crossing, not two.
